@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -68,7 +69,7 @@ func main() {
 			os.Exit(2)
 		}
 		for run := 0; run < *runs; run++ {
-			det, err := sys.EstimateBFCEDetail(*eps, *delta)
+			det, err := sys.RunBFCEDetail(context.Background(), rfidest.WithAccuracy(*eps, *delta))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "rfidest: %v\n", err)
 				os.Exit(1)
@@ -84,7 +85,7 @@ func main() {
 	var errSum, secSum float64
 	worst := 0.0
 	for run := 0; run < *runs; run++ {
-		est, err := sys.EstimateWith(*estimator, *eps, *delta)
+		est, err := sys.Run(context.Background(), rfidest.WithEstimator(*estimator), rfidest.WithAccuracy(*eps, *delta))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rfidest: %v\n", err)
 			os.Exit(1)

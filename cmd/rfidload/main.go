@@ -65,7 +65,6 @@ func main() {
 		estimator = flag.String("estimator", "BFCE", "estimator to request")
 		eps       = flag.Float64("eps", 0.1, "epsilon")
 		delta     = flag.Float64("delta", 0.1, "delta")
-		solo      = flag.Bool("solo", false, "bypass the server's micro-batcher")
 		salt      = flag.Uint64("salt", 0, "pin every request to this session salt (0 = server assigns per request)")
 		retries   = flag.Int("retries", 3, "extra attempts per request on transient failures (-1 disables)")
 		hedge     = flag.Duration("hedge", 0, "hedge pinned-salt requests after this delay (0 disables; needs -salt)")
@@ -82,7 +81,6 @@ func main() {
 		Estimator: *estimator,
 		Epsilon:   *eps,
 		Delta:     *delta,
-		Solo:      *solo,
 	}
 	if *salt != 0 {
 		req.Salt = salt

@@ -47,9 +47,6 @@ func main() {
 		seed         = flag.Uint64("seed", 1, "server seed: roots assigned session salts and default batch salts")
 		maxInFlight  = flag.Int("max-in-flight", 16, "max concurrently executing requests")
 		queueDepth   = flag.Int("queue-depth", 64, "max requests waiting for a slot before 429s start")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch coalescing window (negative disables)")
-		batchMax     = flag.Int("batch-max", 16, "max requests coalesced into one fleet batch")
-		interleave   = flag.Bool("interleave", false, "run coalesced batches on the round scheduler instead of the worker pool")
 		timeout      = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits before cutting sessions at a round boundary")
 		enablePprof  = flag.Bool("pprof", true, "mount /debug/pprof/")
@@ -64,14 +61,11 @@ func main() {
 	defer stop()
 
 	cfg := serve.Config{
-		Seed:            *seed,
-		MaxInFlight:     *maxInFlight,
-		QueueDepth:      *queueDepth,
-		BatchWindow:     *batchWindow,
-		BatchMaxSize:    *batchMax,
-		BatchInterleave: *interleave,
-		DefaultTimeout:  *timeout,
-		Now:             time.Now,
+		Seed:           *seed,
+		MaxInFlight:    *maxInFlight,
+		QueueDepth:     *queueDepth,
+		DefaultTimeout: *timeout,
+		Now:            time.Now,
 	}
 	logEnc := json.NewEncoder(os.Stderr)
 	if !*quiet {

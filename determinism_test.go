@@ -1,6 +1,7 @@
 package rfidest
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func TestEstimateWithSaltDeterministicAcrossGOMAXPROCS(t *testing.T) {
 				wg.Add(1)
 				go func(salt uint64, rep int) {
 					defer wg.Done()
-					est, err := sys.EstimateWithSalt(estimator, epsilon, delta, salt)
+					est, err := sys.Run(context.Background(), WithEstimator(estimator), WithAccuracy(epsilon, delta), WithSalt(salt))
 					if err != nil {
 						t.Errorf("salt %#x rep %d: %v", salt, rep, err)
 						return

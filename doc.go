@@ -14,7 +14,7 @@
 // # Quick start
 //
 //	sys := rfidest.NewSystem(500000, rfidest.WithSeed(42))
-//	est, err := sys.EstimateBFCE(0.05, 0.05)
+//	est, err := sys.Run(ctx, rfidest.WithAccuracy(0.05, 0.05))
 //	if err != nil { ... }
 //	fmt.Printf("n̂ = %.0f in %.3f s of air time\n", est.N, est.Seconds)
 //
@@ -31,9 +31,9 @@
 //
 // The context is checked before every protocol round — the round in
 // flight always completes, so a cancelled run leaves its session at a
-// round boundary and salted replays stay bit-identical. EstimateBFCE,
-// EstimateWith and EstimateWithSalt remain as thin deprecated wrappers
-// over Run; RunBFCEDetail is Run with BFCE's internal diagnostics.
+// round boundary and salted replays stay bit-identical. A nil ctx means
+// context.Background(). RunBFCEDetail is Run with BFCE's internal
+// diagnostics.
 //
 // # Round-structured execution
 //
@@ -111,11 +111,11 @@
 // # Concurrency
 //
 // A System is safe to estimate from concurrently: population and
-// configuration are immutable once built, every Estimate* call opens a
-// fresh session over them, and the shared session counter is atomic.
+// configuration are immutable once built, every Run call opens a fresh
+// session over them, and the shared session counter is atomic.
 // Counter-derived sessions make concurrent calls independent but their
-// numbering scheduling-dependent; EstimateWithSalt addresses a session by
-// an explicit salt instead, replaying bit-identically regardless of what
+// numbering scheduling-dependent; WithSalt addresses a session by an
+// explicit salt instead, replaying bit-identically regardless of what
 // else is in flight. Monitor and Tracker carry state between rounds by
 // design and are single-goroutine. The internal/fleet runner (driven by
 // cmd/rfidfleet) fans batches of estimation jobs across a bounded worker
@@ -131,11 +131,8 @@
 // interleaving scheduler); GET /v1/metrics exports the estimation and
 // HTTP registries as text or JSON. Determinism survives the transport: a
 // request that pins a salt returns the bit-identical estimate of the
-// equivalent in-process Run(WithSalt(...)), whether the server answers it
-// solo or coalesces it with concurrent requests into a fleet batch —
-// micro-batching is a throughput decision, never a result decision — and
-// server-assigned salts are derived from the configured seed and echoed
-// for replay. Admission is bounded (in-flight slots plus a short queue;
+// equivalent in-process Run(WithSalt(...)), and server-assigned salts are
+// derived from the configured seed and echoed for replay. Admission is bounded (in-flight slots plus a short queue;
 // overflow sheds with 429 and Retry-After, deadlines map to 504), and
 // shutdown drains in-flight sessions at round boundaries. See DESIGN.md
 // §10.

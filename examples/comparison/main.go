@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -28,7 +29,7 @@ func main() {
 	}
 	var rows []row
 	for _, name := range rfidest.Estimators() {
-		est, err := sys.EstimateWith(name, eps, delta)
+		est, err := sys.Run(context.Background(), rfidest.WithEstimator(name), rfidest.WithAccuracy(eps, delta))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A warehouse aisle covered by three portal readers with overlapping
 	// zones, as windows of one tag universe:
 	//   reader 1: tags [0, 90k)
@@ -33,7 +36,7 @@ func main() {
 	fmt.Println("per-reader zone estimates:")
 	total := 0.0
 	for i, sys := range []*rfidest.System{r1, r2, r3} {
-		est, err := sys.EstimateBFCE(0.05, 0.05)
+		est, err := sys.Run(ctx, rfidest.WithAccuracy(0.05, 0.05))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := union.EstimateBFCE(0.05, 0.05)
+	est, err := union.Run(ctx, rfidest.WithAccuracy(0.05, 0.05))
 	if err != nil {
 		log.Fatal(err)
 	}

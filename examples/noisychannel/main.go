@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 			sys := rfidest.NewSystem(n,
 				rfidest.WithSeed(uint64(500+trial)),
 				rfidest.WithNoise(rates[0], rates[1]))
-			est, err := sys.EstimateBFCE(0.05, 0.05)
+			est, err := sys.Run(context.Background(), rfidest.WithAccuracy(0.05, 0.05))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,13 +13,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A deployment of half a million tags with uniformly distributed
 	// tagIDs — the headline scenario of the paper (§III-B).
 	sys := rfidest.NewSystem(500000, rfidest.WithSeed(2015))
 
 	// One BFCE run to the (0.05, 0.05) requirement: the estimate must be
 	// within ±5% of the truth with probability at least 95%.
-	est, err := sys.EstimateBFCE(0.05, 0.05)
+	est, err := sys.Run(ctx, rfidest.WithAccuracy(0.05, 0.05))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func main() {
 	// The same estimation with full phase diagnostics: the probe that
 	// found a valid persistence probability, the 1024-slot rough phase,
 	// and the optimal persistence of the final 8192-slot frame.
-	det, err := sys.EstimateBFCEDetail(0.05, 0.05)
+	det, err := sys.RunBFCEDetail(ctx, rfidest.WithAccuracy(0.05, 0.05))
 	if err != nil {
 		log.Fatal(err)
 	}

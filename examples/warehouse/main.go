@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 		sys := rfidest.NewSystem(n,
 			rfidest.WithSeed(uint64(1000+day)),
 			rfidest.WithDistribution(rfidest.ApproxNormal))
-		est, err := sys.EstimateBFCE(0.05, 0.05)
+		est, err := sys.Run(context.Background(), rfidest.WithAccuracy(0.05, 0.05))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package rfidest
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -40,7 +41,7 @@ func TestFaultsEveryInjectorEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := 0; round < 3; round++ {
-				if _, err := m.Estimate(sys); err != nil {
+				if _, err := m.Run(context.Background(), sys); err != nil {
 					t.Fatalf("monitor round %d failed: %v", round, err)
 				}
 			}

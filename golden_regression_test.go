@@ -2,9 +2,10 @@ package rfidest_test
 
 // The golden grid itself lives in internal/goldengrid so every replay
 // harness (this file, the scheduler tests, the fleet equivalence tests)
-// pins against one table. This file keeps the original contract: the
-// deprecated EstimateWithSalt entry point must reproduce every field of
-// every Estimate exactly.
+// pins against one table. This file keeps the original contract of the
+// retired pre-context entry points: a caller without a context (nil ctx,
+// Run's documented convenience default) reproduces every field of every
+// Estimate exactly.
 
 import (
 	"testing"
@@ -34,7 +35,8 @@ func goldenSystems(t *testing.T) func(key string) *rfidest.System {
 func TestEstimateWithSaltGolden(t *testing.T) {
 	system := goldenSystems(t)
 	for _, c := range goldengrid.Cases() {
-		got, err := system(c.System).EstimateWithSalt(c.Estimator, goldengrid.Epsilon, goldengrid.Delta, c.Salt)
+		got, err := system(c.System).Run(nil, rfidest.WithEstimator(c.Estimator), //nolint:staticcheck // nil ctx is the contract under test
+			rfidest.WithAccuracy(goldengrid.Epsilon, goldengrid.Delta), rfidest.WithSalt(c.Salt))
 		if err != nil {
 			t.Errorf("%s/%s/0x%x: %v", c.System, c.Estimator, c.Salt, err)
 			continue

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 )
 
 // boolFramePackages are the packages on the frame observation path, where
@@ -25,9 +24,9 @@ var boolFramePackages = map[string]bool{
 // reintroduce the slow byte-per-slot representation the refactor removed.
 // It reports every []bool type expression in frame-path packages.
 //
-// internal/channel/reference.go is carved out by name: it deliberately
-// retains the pre-packing []bool implementation as the behavioural
-// reference for equivalence tests and benchmarks. Other deliberate uses
+// The pre-packing []bool reference implementation lives in
+// internal/channel/reference_test.go, which the loader never reads (it
+// loads non-test files only). Deliberate uses in non-test files
 // (conversion bridges, non-frame flag slices) are suppressed per line with
 // //lint:allow boolframe <reason>.
 var BoolFrame = &Analyzer{
@@ -40,9 +39,6 @@ var BoolFrame = &Analyzer{
 
 func runBoolFrame(pass *Pass) error {
 	for _, f := range pass.Files {
-		if filepath.Base(pass.Fset.Position(f.Pos()).Filename) == "reference.go" {
-			continue // the retained []bool reference implementation
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			at, ok := n.(*ast.ArrayType)
 			if !ok || at.Len != nil {

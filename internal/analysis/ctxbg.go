@@ -5,20 +5,19 @@ import (
 	"strings"
 )
 
-// CtxBg enforces the cancellation-plumbing contract that the fleet
-// TrialTimeout work rests on: library code must thread its caller's
-// context instead of minting a fresh root with context.Background() or
-// context.TODO(). A silently-minted root context is how per-trial
-// deadlines and batch cancellation get severed from the work they are
-// supposed to bound (the pre-fix runJob bug: trials ran under
-// context.Background() and ignored the batch deadline entirely).
+// CtxBg enforces the cancellation-plumbing contract that per-run
+// deadlines (rfidest.WithTimeout) rest on: library code must thread its
+// caller's context instead of minting a fresh root with
+// context.Background() or context.TODO(). A silently-minted root context
+// is how per-trial deadlines and batch cancellation get severed from the
+// work they are supposed to bound (the pre-fix runJob bug: trials ran
+// under context.Background() and ignored the batch deadline entirely).
 //
 // Covered packages are the module root and everything under internal/;
 // cmd/ and examples/ are allowlisted because a process entry point is
 // exactly where a root context is supposed to be created. In-scope
-// deliberate roots — the deprecated Estimate* wrappers whose signatures
-// predate context plumbing, the nil-ctx defaults inside Run, and the
-// experiment helper's detached pool — are suppressed at the use site with
+// deliberate roots — the nil-ctx defaults inside Run and the experiment
+// helper's detached pool — are suppressed at the use site with
 // //lint:allow ctxbg so each exemption stays visible and reasoned.
 var CtxBg = &Analyzer{
 	Name: "ctxbg",

@@ -38,16 +38,12 @@ var ErrDrop = &Analyzer{
 // is load-bearing by contract. Wrappers that forward these errors are
 // discovered by fact propagation, not listed.
 var contractErrNames = map[string]bool{
-	"Run":                true,
-	"RunBFCEDetail":      true,
-	"Merge":              true,
-	"Estimate":           true,
-	"EstimateRetry":      true,
-	"EstimateBFCE":       true,
-	"EstimateWith":       true,
-	"EstimateWithSalt":   true,
-	"EstimateBFCEDetail": true,
-	"Map":                true,
+	"Run":           true,
+	"RunBFCEDetail": true,
+	"Merge":         true,
+	"Estimate":      true,
+	"EstimateRetry": true,
+	"Map":           true,
 }
 
 // contractErrFact marks a module function that returns a contract

@@ -1,6 +1,6 @@
 // Package boolframetest seeds deliberate []bool frame buffers for the
 // boolframe golden test, plus the sanctioned escape hatches: a //lint:allow
-// suppression and the reference.go file carve-out.
+// suppression and a _test.go file, which the loader never reads.
 package boolframetest
 
 // runFrame rebuilds a byte-per-slot frame buffer; every []bool type

@@ -80,8 +80,8 @@ func (req FrameRequest) validate() (observe int) {
 // busy): 64 slots per uint64 word, so the aggregate queries every estimator
 // hangs off a frame — CountBusy, RhoIdle, FirstBusy, Runs — run one
 // popcount or TrailingZeros64 per word instead of one branch per slot. The
-// pre-packing []bool semantics are retained bit-for-bit; reference.go keeps
-// the original implementation for cross-checking tests and benchmarks.
+// pre-packing []bool semantics are retained bit-for-bit; reference_test.go
+// keeps the original implementation for cross-checking tests and benchmarks.
 //
 // The zero BitVec is an empty (zero-slot) frame. Construct real frames
 // with NewBitVec or FromBools.

@@ -139,29 +139,37 @@ func TestRunFaultedBatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunTrialTimeout pins the TrialTimeout contract: an expired per-trial
-// deadline fails the attempt at session start; with retries the job
-// degrades, without them it fails — and a generous deadline is inert.
+// TestRunTrialTimeout pins the per-trial timeout contract of a job's
+// rfidest.WithTimeout option: an expired deadline fails the attempt at
+// session start; with retries the job degrades, without them it fails —
+// and a generous deadline is inert.
 func TestRunTrialTimeout(t *testing.T) {
 	sys := rfidest.NewSystem(5000, rfidest.WithSeed(94))
 	job := Job{System: sys, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 2}
+	withTimeout := func(j Job, d time.Duration) Job {
+		j.Options = []rfidest.Option{rfidest.WithTimeout(d)}
+		return j
+	}
+	cfg := Config{Seed: 9}
 
-	base, err := Run(context.Background(), Config{Seed: 9}, []Job{job})
+	base, err := Run(context.Background(), cfg, []Job{job})
 	if err != nil {
 		t.Fatal(err)
 	}
-	roomy, err := Run(context.Background(), Config{Seed: 9, TrialTimeout: time.Hour}, []Job{job})
+	roomy, err := Run(context.Background(), cfg, []Job{withTimeout(job, time.Hour)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Options do not marshal, so the reports compare without them.
+	roomy.Jobs[0].Job.Options = nil
 	if !reflect.DeepEqual(stripWall(base), stripWall(roomy)) {
 		t.Fatal("a generous trial timeout perturbed results")
 	}
 
 	// A deadline that expires before the session opens: without retries the
 	// job fails at trial 0 ...
-	tight := Config{Seed: 9, TrialTimeout: time.Nanosecond}
-	rep, err := Run(context.Background(), tight, []Job{job})
+	tight := withTimeout(job, time.Nanosecond)
+	rep, err := Run(context.Background(), cfg, []Job{tight})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +178,9 @@ func TestRunTrialTimeout(t *testing.T) {
 	}
 	// ... and with retries it degrades instead, completing no trials but
 	// poisoning neither the batch nor sibling jobs.
-	retrying := job
+	retrying := tight
 	retrying.Retries = 2
-	rep, err = Run(context.Background(), tight, []Job{retrying})
+	rep, err = Run(context.Background(), cfg, []Job{retrying})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +191,11 @@ func TestRunTrialTimeout(t *testing.T) {
 		t.Fatalf("timeout with retries should degrade: %+v", rep.Jobs[0])
 	}
 
-	if _, err := Run(context.Background(), Config{Seed: 9, TrialTimeout: -time.Second}, []Job{job}); err == nil {
+	rep, err = Run(context.Background(), cfg, []Job{withTimeout(job, -time.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Jobs[0].Err == nil {
 		t.Fatal("negative trial timeout accepted")
 	}
 }

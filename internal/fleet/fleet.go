@@ -22,8 +22,7 @@ type Job struct {
 	// jobs: concurrent estimation over one System is safe, and fleet trials
 	// address their sessions by salt, so sharing does not perturb results.
 	System *rfidest.System `json:"-"`
-	// Estimator is a name accepted by System.EstimateWith (see
-	// rfidest.Estimators).
+	// Estimator is a registered estimator name (see rfidest.Estimators).
 	Estimator string `json:"estimator"`
 	// Epsilon, Delta form the accuracy requirement, both in (0, 1).
 	Epsilon float64 `json:"epsilon"`
@@ -59,8 +58,8 @@ type Job struct {
 	// overrides its field-derived counterpart: rfidest.WithSeedSalt pins
 	// every trial and retry attempt of the job to that one session
 	// (Trials > 1 then re-runs one bit-identical session — what a
-	// coalesced single-estimate request wants), rfidest.WithTimeout bounds
-	// each trial attempt like Config.TrialTimeout, and
+	// single pinned estimate wants), rfidest.WithTimeout bounds each
+	// trial attempt in both pooled and interleaved modes, and
 	// rfidest.WithEstimator / rfidest.WithAccuracy shadow the Estimator /
 	// Epsilon / Delta fields. Options must be pure (stateless closures):
 	// they are re-applied on every trial and attempt.
@@ -159,27 +158,15 @@ type Config struct {
 	// spans across the whole batch — typically an *obs.Registry shared by
 	// all workers. Results are bit-identical with or without it.
 	Observer obs.Observer
-	// TrialTimeout, when positive, bounds each trial attempt with a real
-	// context deadline derived from Run's context. The deadline is checked
-	// at session start and again before every protocol round — the round
-	// in flight always completes, so a timed-out attempt stops at a round
-	// boundary with deterministic per-round results. A timed-out attempt
-	// counts as a failed attempt and is retried like any other when
-	// Job.Retries allows. Incompatible with Interleave, whose scheduler
-	// already cuts the whole batch at round granularity via Run's context.
-	//
-	// Deprecated: prefer per-job rfidest.WithTimeout via Job.Options,
-	// which works in both pooled and interleaved modes.
-	TrialTimeout time.Duration
 	// OnJobDone, when non-nil, is invoked once per job as soon as its
-	// JobResult is final — the batch submission hook the serving layer's
-	// micro-batcher uses to answer each coalesced request without waiting
-	// for the whole Report. In pooled mode it runs on the worker goroutine
-	// that finished the job (so it may be called concurrently and must be
-	// fast and thread-safe); in interleaved mode it runs on the scheduler
-	// goroutine, in job-index order, after the schedule completes. Skipped
-	// jobs (cancellation before start) are reported too. The callback sees
-	// the result before batch summarization; it must not mutate it.
+	// JobResult is final, so a caller can act on each job without waiting
+	// for the whole Report (cmd/rfidbench timestamps jobs with it). In
+	// pooled mode it runs on the worker goroutine that finished the job
+	// (so it may be called concurrently and must be fast and thread-safe);
+	// in interleaved mode it runs on the scheduler goroutine, in job-index
+	// order, after the schedule completes. Skipped jobs (cancellation
+	// before start) are reported too. The callback sees the result before
+	// batch summarization; it must not mutate it.
 	OnJobDone func(JobResult)
 	// Interleave selects the scheduler-backed batch mode: instead of a
 	// worker pool running each trial to completion, a single deterministic
@@ -201,12 +188,6 @@ type Config struct {
 func Run(ctx context.Context, cfg Config, jobs []Job) (*Report, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("fleet: empty batch")
-	}
-	if cfg.TrialTimeout < 0 {
-		return nil, fmt.Errorf("fleet: negative trial timeout %v", cfg.TrialTimeout)
-	}
-	if cfg.Interleave && cfg.TrialTimeout > 0 {
-		return nil, errors.New("fleet: Interleave and TrialTimeout are mutually exclusive; cancel the batch context to bound an interleaved run")
 	}
 	for i, j := range jobs {
 		if j.System == nil {
@@ -264,7 +245,7 @@ func Run(ctx context.Context, cfg Config, jobs []Job) (*Report, error) {
 
 // saltFor derives the session salt of trial `trial` of job `job` — the
 // runner's whole seeding scheme, exposed so tests can replay any fleet
-// trial as a single direct EstimateWithSalt call.
+// trial as a single direct Run(WithSalt) call.
 func saltFor(seed uint64, job, trial int) uint64 {
 	return xrand.Combine(seed, uint64(job), uint64(trial))
 }
@@ -336,9 +317,8 @@ func runJob(ctx context.Context, cfg Config, index int, job Job) JobResult {
 // the job's retry budget. Attempt 0 uses the historical saltFor salt (so
 // retry-free batches replay bit-identically against direct salted calls);
 // attempt k > 0 extends the derivation with k. Each attempt runs under the
-// batch context, tightened by Config.TrialTimeout when set — estimation
-// gates on the deadline at session start, so an in-flight attempt still
-// completes and determinism is preserved. Backoff before attempt k charges
+// batch context; a per-attempt deadline rides in Job.Options as
+// rfidest.WithTimeout. Backoff before attempt k charges
 // RetryBackoffSeconds·2^(k−1) of simulated air time; no wall-clock sleep.
 func runTrial(ctx context.Context, cfg Config, index int, job Job, t int, observer obs.Observer, res *JobResult) (rfidest.Estimate, error) {
 	backoff := job.RetryBackoffSeconds
@@ -347,20 +327,12 @@ func runTrial(ctx context.Context, cfg Config, index int, job Job, t int, observ
 		if attempt > 0 {
 			salt = xrand.Combine(cfg.Seed, uint64(index), uint64(t), uint64(attempt))
 		}
-		tctx := ctx
-		var cancel context.CancelFunc
-		if cfg.TrialTimeout > 0 {
-			tctx, cancel = context.WithTimeout(ctx, cfg.TrialTimeout)
-		}
 		opts := append([]rfidest.Option{
 			rfidest.WithEstimator(job.Estimator),
 			rfidest.WithAccuracy(job.Epsilon, job.Delta),
 			rfidest.WithSeedSalt(salt),
 			rfidest.WithObserver(observer)}, job.Options...)
-		est, err := job.System.Run(tctx, opts...)
-		if cancel != nil {
-			cancel()
-		}
+		est, err := job.System.Run(ctx, opts...)
 		done := err == nil && !est.Saturated
 		if done || attempt >= job.Retries || ctx.Err() != nil {
 			return est, err

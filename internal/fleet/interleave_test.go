@@ -69,17 +69,6 @@ func TestInterleaveSeedChangesScheduleNotResults(t *testing.T) {
 	}
 }
 
-// TestInterleaveTrialTimeoutExclusive: per-trial deadlines assume a trial
-// owns the clock between its start and end — meaningless when its rounds
-// are interleaved with every other session's — so the pair is rejected.
-func TestInterleaveTrialTimeoutExclusive(t *testing.T) {
-	jobs := mixedBatch(t)
-	_, err := Run(context.Background(), Config{Interleave: true, TrialTimeout: time.Second}, jobs)
-	if err == nil {
-		t.Fatal("Interleave+TrialTimeout accepted")
-	}
-}
-
 // TestInterleaveCancelledBeforeStart: a pre-cancelled batch skips every
 // job, like the pooled path.
 func TestInterleaveCancelledBeforeStart(t *testing.T) {

@@ -9,7 +9,7 @@
 // always used. Run is the estimation-specific runner on top: it takes a
 // slice of Jobs ({System, estimator, ε, δ, trials}), fans them out, keys
 // every trial's session on (batch seed, job index, trial index) via
-// System.EstimateWithSalt, collects per-job errors, and aggregates
+// System.Run(WithSalt), collects per-job errors, and aggregates
 // accuracy, throughput and simulated air time into a Report.
 //
 // Determinism allowlist policy: this package is covered by the detrand

@@ -120,8 +120,8 @@ func TestOnJobDoneHook(t *testing.T) {
 
 // TestJobOptionsSaltOverride: a WithSeedSalt in Job.Options overrides the
 // fleet-derived trial salt, so the job's single trial is bit-identical to a
-// direct salted Run — the contract the serving layer's micro-batcher
-// coalesces requests on.
+// direct salted Run — the contract /v1/batch jobs with a pinned salt rest
+// on.
 func TestJobOptionsSaltOverride(t *testing.T) {
 	sys := rfidest.NewSystem(5000, rfidest.WithSynthetic(), rfidest.WithSeed(3))
 	const salt = 0xfeedbeef
@@ -146,8 +146,8 @@ func TestJobOptionsSaltOverride(t *testing.T) {
 }
 
 // TestJobOptionsTimeout: rfidest.WithTimeout via Job.Options bounds a trial
-// in interleaved mode (where Config.TrialTimeout is unavailable); an
-// immediate deadline fails the trial without failing its siblings.
+// in interleaved mode too; an immediate deadline fails the trial without
+// failing its siblings.
 func TestJobOptionsTimeout(t *testing.T) {
 	sys := rfidest.NewSystem(5000, rfidest.WithSynthetic(), rfidest.WithSeed(3))
 	rep, err := Run(context.Background(), Config{Seed: 7, Interleave: true}, []Job{

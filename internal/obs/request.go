@@ -46,7 +46,6 @@ type breakerCell struct {
 type routeMetrics struct {
 	requests atomic.Int64
 	classes  [6]atomic.Int64 // status/100; [0] collects malformed codes
-	batched  atomic.Int64
 	latency  *Histogram
 }
 
@@ -84,10 +83,6 @@ func (r *RequestRegistry) Observe(route string, status int, seconds float64) {
 	m.classes[class].Add(1)
 	m.latency.Observe(seconds)
 }
-
-// Batched records that a request on route was answered through a coalesced
-// fleet batch rather than a solo run.
-func (r *RequestRegistry) Batched(route string) { r.route(route).batched.Add(1) }
 
 // InflightAdd moves the in-flight gauge; call with +1 at admission and -1
 // when the response is written.
@@ -159,13 +154,15 @@ type BreakerSnapshot struct {
 
 // RouteSnapshot is the per-route request accounting.
 type RouteSnapshot struct {
-	Route          string            `json:"route"`
-	Requests       int64             `json:"requests"`
-	Status2xx      int64             `json:"status2xx"`
-	Status3xx      int64             `json:"status3xx,omitempty"`
-	Status4xx      int64             `json:"status4xx,omitempty"`
-	Status5xx      int64             `json:"status5xx,omitempty"`
-	StatusOther    int64             `json:"statusOther,omitempty"`
+	Route       string `json:"route"`
+	Requests    int64  `json:"requests"`
+	Status2xx   int64  `json:"status2xx"`
+	Status3xx   int64  `json:"status3xx,omitempty"`
+	Status4xx   int64  `json:"status4xx,omitempty"`
+	Status5xx   int64  `json:"status5xx,omitempty"`
+	StatusOther int64  `json:"statusOther,omitempty"`
+	// Batched is always 0: the server no longer coalesces requests. The
+	// field stays because cmd/rfidbench reads it.
 	Batched        int64             `json:"batched,omitempty"`
 	LatencySeconds HistogramSnapshot `json:"latency_s"`
 }
@@ -196,7 +193,6 @@ func (r *RequestRegistry) Snapshot() RequestSnapshot {
 			Status4xx:      m.classes[4].Load(),
 			Status5xx:      m.classes[5].Load(),
 			StatusOther:    m.classes[0].Load() + m.classes[1].Load(),
-			Batched:        m.batched.Load(),
 			LatencySeconds: m.latency.snapshot(),
 		})
 	}
@@ -236,7 +232,6 @@ func (s RequestSnapshot) WriteText(w io.Writer) error {
 		tw.line(prefix+".status4xx", rt.Status4xx)
 		tw.line(prefix+".status5xx", rt.Status5xx)
 		tw.line(prefix+".status_other", rt.StatusOther)
-		tw.line(prefix+".batched", rt.Batched)
 		tw.histogram(prefix+".latency_s", rt.LatencySeconds)
 	}
 	for _, bk := range s.Breakers {

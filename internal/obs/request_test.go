@@ -14,7 +14,6 @@ func TestRequestRegistrySnapshot(t *testing.T) {
 	r.Observe("/v1/estimate", 200, 0.004)
 	r.Observe("/v1/estimate", 400, 0.0001)
 	r.Observe("/v1/batch", 504, 1.5)
-	r.Batched("/v1/estimate")
 	r.InflightAdd(1)
 	r.QueueAdd(2)
 	r.Rejected()
@@ -28,7 +27,7 @@ func TestRequestRegistrySnapshot(t *testing.T) {
 		t.Fatalf("routes not sorted: %+v", s.Routes)
 	}
 	est := s.Routes[1]
-	if est.Requests != 3 || est.Status2xx != 2 || est.Status4xx != 1 || est.Batched != 1 {
+	if est.Requests != 3 || est.Status2xx != 2 || est.Status4xx != 1 {
 		t.Errorf("estimate route miscounted: %+v", est)
 	}
 	if got := s.Routes[0].Status5xx; got != 1 {

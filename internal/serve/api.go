@@ -153,8 +153,6 @@ type EstimateRequest struct {
 	// default. The run stops at a round boundary, so expiry is 504 with
 	// deterministic partial accounting.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
-	// Solo bypasses the micro-batcher for this request.
-	Solo bool `json:"solo,omitempty"`
 }
 
 // EstimateResponse is the POST /v1/estimate reply.
@@ -164,10 +162,6 @@ type EstimateResponse struct {
 	// Salt is the session the estimate was produced under — the request's
 	// salt if it pinned one, otherwise the server-assigned salt.
 	Salt uint64 `json:"salt"`
-	// Batched reports the request was answered through a coalesced fleet
-	// batch. Batching never changes the estimate (the salt pins the
-	// session), so this is diagnostic only.
-	Batched bool `json:"batched,omitempty"`
 }
 
 // BatchJob is one job in a POST /v1/batch body — fleet.Job with the
@@ -179,8 +173,10 @@ type BatchJob struct {
 	Estimator string     `json:"estimator,omitempty"` // default "BFCE"
 	Epsilon   float64    `json:"epsilon"`
 	Delta     float64    `json:"delta"`
-	Trials    int        `json:"trials,omitempty"`  // 0 means 1
-	Retries   int        `json:"retries,omitempty"` // fleet retry ladder
+	// Trials defaults to 1; Retries drives the fleet retry ladder. A job
+	// may run at most maxJobAttempts sessions, Trials × (Retries+1).
+	Trials  int `json:"trials,omitempty"`
+	Retries int `json:"retries,omitempty"`
 	// Salt pins every trial of the job to one session
 	// (rfidest.WithSeedSalt); omitted, trials derive per-trial salts from
 	// the batch seed as in-process fleet runs do.
@@ -198,7 +194,8 @@ type BatchRequest struct {
 	// Interleave selects the deterministic round scheduler instead of the
 	// worker pool; results are bit-identical either way.
 	Interleave bool `json:"interleave,omitempty"`
-	// Workers bounds the pooled mode (0 means GOMAXPROCS).
+	// Workers bounds the pooled mode (0 means GOMAXPROCS; larger values
+	// are clamped to GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMs bounds the whole batch; expiry returns 504 with the
 	// partial report (unstarted jobs marked skipped).

@@ -3,10 +3,14 @@
 //
 // Endpoints:
 //
-//	POST /v1/estimate  one (system, estimator, ε, δ, salt) estimation
-//	POST /v1/batch     a fleet batch (pooled or interleaved scheduling)
-//	GET  /v1/metrics   estimation + request metrics (text or JSON)
-//	GET  /healthz      liveness (503 while draining)
+//	POST   /v1/estimate  one (system, estimator, ε, δ, salt) estimation
+//	POST   /v1/batch     a fleet batch (pooled or interleaved scheduling)
+//	POST   /v1/monitor   the next round of a named, durable monitor
+//	DELETE /v1/monitor   drop a named monitor
+//	GET    /v1/metrics   estimation + request metrics (text or JSON)
+//	GET    /healthz      liveness
+//	GET    /readyz       readiness (503 while recovering, draining or a
+//	                     breaker is open)
 //
 // The layer adds serving concerns without touching estimation semantics:
 //
@@ -23,12 +27,11 @@
 //     refused immediately with 429 and a Retry-After hint, so overload
 //     degrades by shedding rather than queue collapse.
 //
-//   - A micro-batcher coalesces concurrent single-estimate requests into
-//     one fleet batch per BatchWindow. Each request rides as its own
-//     fleet.Job carrying rfidest.WithSeedSalt, which pins the trial to the
-//     request's session — a coalesced run is bit-identical to a solo one,
-//     so batching is purely a throughput decision. Answers are delivered
-//     per job through fleet.Config.OnJobDone as they finish.
+//   - Every estimate runs as one System.Run in its handler. A BFCE
+//     estimate is a fixed-cost computation with nothing to share with its
+//     neighbours, so there is no coalescing. A /v1/batch request's work
+//     is bounded too: at most MaxBatchJobs jobs, at most 1000 sessions
+//     per job (trials × (retries+1)), on at most GOMAXPROCS workers.
 //
 //   - Failures map onto the transport: unknown estimators and malformed
 //     specs are 400 (rfidest.ErrUnknownEstimator is detected with
@@ -36,8 +39,8 @@
 //     draining is 503, and handler panics are isolated to 500 responses
 //     and counted, never taking the process down.
 //
-//   - Shutdown drains: intake stops (work endpoints return 503, /healthz
-//     goes unhealthy), in-flight sessions run to completion — every
+//   - Shutdown drains: intake stops (work endpoints return 503, /readyz
+//     goes unready), in-flight sessions run to completion — every
 //     session is bounded in rounds — and if the caller's deadline expires
 //     first the base context is cancelled, which stops sessions at their
 //     next round boundary.

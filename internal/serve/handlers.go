@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -23,6 +24,11 @@ const (
 	routeHealthz  = "/healthz"
 	routeReadyz   = "/readyz"
 )
+
+// maxJobAttempts caps the sessions one /v1/batch job may run, counting
+// every trial and retry attempt: Trials × (Retries+1). MaxBatchJobs bounds
+// the job count, so together they bound the work one admission slot buys.
+const maxJobAttempts = 1000
 
 func validateAccuracy(epsilon, delta float64) error {
 	if !(epsilon > 0 && epsilon < 1) {
@@ -46,8 +52,7 @@ func (s *Server) requestTimeout(timeoutMs int) (time.Duration, error) {
 	return time.Duration(timeoutMs) * time.Millisecond, nil
 }
 
-// handleEstimate answers POST /v1/estimate: validate, admit, run (through
-// the micro-batcher unless the request opts out), respond.
+// handleEstimate answers POST /v1/estimate: validate, admit, run, respond.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req EstimateRequest
 	if !s.decodeJSON(w, r, &req) {
@@ -76,17 +81,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var salt uint64
 	if req.Salt != nil {
 		salt = *req.Salt
-	} else {
-		var err error
-		if salt, err = s.nextSalt(); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
+	} else if salt, err = s.nextSalt(); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
 
-	// The handler's own wait is bounded by the same deadline as the run,
-	// so an expired request stops occupying its admission slot even if
-	// its batched session is still finishing a round.
+	// The admission wait is bounded by the same deadline as the run.
 	ctx := r.Context()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -100,34 +100,16 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	sys := s.systems.get(req.System)
-	var est rfidest.Estimate
-	batched := false
-	if s.bat != nil && !req.Solo {
-		jobOpts := []rfidest.Option{rfidest.WithSeedSalt(salt)}
-		if timeout > 0 {
-			jobOpts = append(jobOpts, rfidest.WithTimeout(timeout))
-		}
-		est, err = s.bat.submit(ctx, fleet.Job{
-			System:    sys,
-			Estimator: estimator,
-			Epsilon:   req.Epsilon,
-			Delta:     req.Delta,
-			Options:   jobOpts,
-		})
-		batched = err == nil
-	} else {
-		opts := []rfidest.Option{
-			rfidest.WithEstimator(estimator),
-			rfidest.WithAccuracy(req.Epsilon, req.Delta),
-			rfidest.WithSeedSalt(salt),
-			rfidest.WithObserver(s.reg),
-		}
-		if timeout > 0 {
-			opts = append(opts, rfidest.WithTimeout(timeout))
-		}
-		est, err = sys.Run(ctx, opts...)
+	opts := []rfidest.Option{
+		rfidest.WithEstimator(estimator),
+		rfidest.WithAccuracy(req.Epsilon, req.Delta),
+		rfidest.WithSeedSalt(salt),
+		rfidest.WithObserver(s.reg),
 	}
+	if timeout > 0 {
+		opts = append(opts, rfidest.WithTimeout(timeout))
+	}
+	est, err := s.systems.get(req.System).Run(ctx, opts...)
 	if !errors.Is(err, context.Canceled) {
 		// A client that went away says nothing about the estimator's
 		// health; everything else feeds the breaker.
@@ -137,14 +119,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpStatus(err), err.Error())
 		return
 	}
-	if batched {
-		s.req.Batched(routeEstimate)
-	}
 	writeJSON(w, http.StatusOK, EstimateResponse{
 		Estimate:  est,
 		Estimator: estimator,
 		Salt:      salt,
-		Batched:   batched,
 	})
 }
 
@@ -203,6 +181,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("job %d: trials, retries and timeoutMs must be non-negative", i))
 			return
 		}
+		if err := validateAttempts(bj.Trials, bj.Retries); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("job %d: %v", i, err))
+			return
+		}
 		estimator := bj.Estimator
 		if estimator == "" {
 			estimator = "BFCE"
@@ -245,7 +227,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	rep, err := fleet.Run(ctx, fleet.Config{
 		Seed:       seed,
-		Workers:    req.Workers,
+		Workers:    batchWorkers(req.Workers),
 		Interleave: req.Interleave,
 		Observer:   s.reg,
 	}, jobs)
@@ -264,6 +246,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Report: rep})
+}
+
+// validateAttempts checks one batch job's non-negative trial and retry
+// counts against maxJobAttempts.
+func validateAttempts(trials, retries int) error {
+	trials = max(trials, 1)
+	if trials > maxJobAttempts {
+		return fmt.Errorf("trials %d exceeds the server limit %d", trials, maxJobAttempts)
+	}
+	// retries+1 > maxJobAttempts/trials, phrased so it cannot overflow.
+	if retries >= maxJobAttempts/trials {
+		return fmt.Errorf("trials × (retries+1) exceeds the server limit %d attempts per job", maxJobAttempts)
+	}
+	return nil
+}
+
+// batchWorkers clamps a batch's requested pool size to GOMAXPROCS. More
+// workers than cores buy no speed and never change results, but would let
+// one admission slot fan out to MaxBatchJobs concurrent sessions.
+func batchWorkers(requested int) int {
+	return min(requested, runtime.GOMAXPROCS(0))
 }
 
 // writeAdmissionError maps an acquire failure, attaching the Retry-After

@@ -8,23 +8,21 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"rfidest/internal/serve"
 )
 
-// benchBody is the request both legs drive: a synthetic 10k-tag system
+// benchBody is the request both benchmarks drive: a synthetic 10k-tag system
 // under BFCE(0.1, 0.1) with a pinned salt, so every request replays one
 // deterministic session and the benchmark measures serving overhead, not
 // estimation variance.
-func benchBody(b *testing.B, solo bool) []byte {
+func benchBody(b *testing.B) []byte {
 	b.Helper()
 	salt := uint64(1)
 	body, err := json.Marshal(serve.EstimateRequest{
 		System:  serve.SystemSpec{N: 10000, Seed: 3, Synthetic: true},
 		Epsilon: 0.1, Delta: 0.1,
 		Salt: &salt,
-		Solo: solo,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -57,11 +55,11 @@ func post(b *testing.B, client *http.Client, url string, body []byte) {
 	}
 }
 
-// BenchmarkServeEstimateSolo measures one full HTTP round trip per op on
-// the solo path: transport + admission + a direct in-handler Run.
+// BenchmarkServeEstimateSolo measures one full HTTP round trip per op:
+// transport + admission + a direct in-handler Run.
 func BenchmarkServeEstimateSolo(b *testing.B) {
 	ts := benchServer(b, serve.Config{})
-	body := benchBody(b, true)
+	body := benchBody(b)
 	url := ts.URL + "/v1/estimate"
 	client := ts.Client()
 	b.ResetTimer()
@@ -70,14 +68,11 @@ func BenchmarkServeEstimateSolo(b *testing.B) {
 	}
 }
 
-// BenchmarkServeEstimateBatched drives the micro-batched path from
-// parallel clients, so windows genuinely coalesce; ns/op is per answered
-// request at saturation.
-func BenchmarkServeEstimateBatched(b *testing.B) {
-	ts := benchServer(b, serve.Config{
-		BatchWindow: time.Millisecond, BatchMaxSize: 16, MaxInFlight: 64,
-	})
-	body := benchBody(b, false)
+// BenchmarkServeEstimateParallel drives the same request from parallel
+// closed-loop clients; ns/op is per answered request at saturation.
+func BenchmarkServeEstimateParallel(b *testing.B) {
+	ts := benchServer(b, serve.Config{MaxInFlight: 64})
+	body := benchBody(b)
 	url := ts.URL + "/v1/estimate"
 	client := ts.Client()
 	b.SetParallelism(4) // 4 x GOMAXPROCS concurrent closed-loop clients

@@ -71,14 +71,14 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 }
 
 // TestEstimateGoldengridReplay replays the full golden grid through
-// POST /v1/estimate — alternating the micro-batched and solo paths — and
-// requires every response bit-identical to the pinned in-process result.
+// POST /v1/estimate and requires every response bit-identical to the
+// pinned in-process result.
 func TestEstimateGoldengridReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid over HTTP is not short")
 	}
 	_, ts := newTestServer(t, serve.Config{})
-	for i, c := range goldengrid.Cases() {
+	for _, c := range goldengrid.Cases() {
 		salt := c.Salt
 		status, body := postJSON(t, ts.URL+"/v1/estimate", serve.EstimateRequest{
 			System:    specFor(t, c.System),
@@ -86,7 +86,6 @@ func TestEstimateGoldengridReplay(t *testing.T) {
 			Epsilon:   goldengrid.Epsilon,
 			Delta:     goldengrid.Delta,
 			Salt:      &salt,
-			Solo:      i%2 == 1,
 		})
 		if status != http.StatusOK {
 			t.Fatalf("%s/%s salt %#x: status %d: %s", c.System, c.Estimator, c.Salt, status, body)
@@ -101,9 +100,6 @@ func TestEstimateGoldengridReplay(t *testing.T) {
 		}
 		if resp.Salt != c.Salt {
 			t.Errorf("response did not echo the pinned salt: got %#x want %#x", resp.Salt, c.Salt)
-		}
-		if wantBatched := i%2 == 0; resp.Batched != wantBatched {
-			t.Errorf("case %d: batched = %v, want %v", i, resp.Batched, wantBatched)
 		}
 	}
 }
@@ -206,14 +202,14 @@ func TestEstimateValidation(t *testing.T) {
 	url := ts.URL + "/v1/estimate"
 	good := serve.SystemSpec{N: 100, Synthetic: true}
 	for name, req := range map[string]serve.EstimateRequest{
-		"zero epsilon":                {System: good, Delta: 0.1},
-		"epsilon one":                 {System: good, Epsilon: 1, Delta: 0.1},
-		"zero n":                      {System: serve.SystemSpec{}, Epsilon: 0.1, Delta: 0.1},
-		"huge n":                      {System: serve.SystemSpec{N: 1 << 40}, Epsilon: 0.1, Delta: 0.1},
-		"bad distribution":            {System: serve.SystemSpec{N: 100, Distribution: "zipf"}, Epsilon: 0.1, Delta: 0.1},
-		"hash conflict":               {System: serve.SystemSpec{N: 100, PaperTagHash: true, IDHash: true}, Epsilon: 0.1, Delta: 0.1},
-		"negative timeout":            {System: good, Epsilon: 0.1, Delta: 0.1, TimeoutMs: -1},
-		"unknown estimator (batched)": {System: good, Epsilon: 0.1, Delta: 0.1, Estimator: "NOPE"},
+		"zero epsilon":      {System: good, Delta: 0.1},
+		"epsilon one":       {System: good, Epsilon: 1, Delta: 0.1},
+		"zero n":            {System: serve.SystemSpec{}, Epsilon: 0.1, Delta: 0.1},
+		"huge n":            {System: serve.SystemSpec{N: 1 << 40}, Epsilon: 0.1, Delta: 0.1},
+		"bad distribution":  {System: serve.SystemSpec{N: 100, Distribution: "zipf"}, Epsilon: 0.1, Delta: 0.1},
+		"hash conflict":     {System: serve.SystemSpec{N: 100, PaperTagHash: true, IDHash: true}, Epsilon: 0.1, Delta: 0.1},
+		"negative timeout":  {System: good, Epsilon: 0.1, Delta: 0.1, TimeoutMs: -1},
+		"unknown estimator": {System: good, Epsilon: 0.1, Delta: 0.1, Estimator: "NOPE"},
 	} {
 		status, body := postJSON(t, url, req)
 		if status != http.StatusBadRequest {
@@ -225,35 +221,31 @@ func TestEstimateValidation(t *testing.T) {
 			t.Errorf("%s: malformed error body %s", name, body)
 		}
 	}
-	// The solo path maps the same sentinel.
-	status, _ := postJSON(t, url, serve.EstimateRequest{
-		System: good, Epsilon: 0.1, Delta: 0.1, Estimator: "NOPE", Solo: true,
-	})
-	if status != http.StatusBadRequest {
-		t.Errorf("solo unknown estimator: status %d, want 400", status)
-	}
-	// Unknown JSON fields are rejected: the wire schema is frozen.
-	resp, err := http.Post(url, "application/json",
-		strings.NewReader(`{"system":{"n":100},"epsilon":0.1,"delta":0.1,"bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
+	// Unknown JSON fields are rejected: the wire schema is frozen. That
+	// includes the retired micro-batcher opt-out "solo".
+	for _, field := range []string{`"bogus":1`, `"solo":true`} {
+		resp, err := http.Post(url, "application/json",
+			strings.NewReader(`{"system":{"n":100},"epsilon":0.1,"delta":0.1,`+field+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown field %s: status %d, want 400", field, resp.StatusCode)
+		}
 	}
 }
 
 // TestBackpressure floods a 1-slot, 1-waiter server and requires at least
 // one shed request (429 with Retry-After) while every admitted request
-// still answers correctly.
+// still answers correctly. The tag-level system makes each admitted
+// request hold its slot for tens of milliseconds.
 func TestBackpressure(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{
 		MaxInFlight: 1, QueueDepth: 1, RetryAfterSeconds: 3,
-		BatchWindow: 20 * time.Millisecond,
 	})
 	req := serve.EstimateRequest{
-		System:  serve.SystemSpec{N: 2000, Seed: 3, Synthetic: true},
+		System:  serve.SystemSpec{N: 100000, Seed: 3},
 		Epsilon: 0.1, Delta: 0.1,
 	}
 	const flood = 12
@@ -298,13 +290,14 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestDeadline504: a 1ms budget cannot finish FNEB's hundreds of rounds;
-// the request answers 504 and the server leaks no goroutines.
+// TestDeadline504: a 1ms budget cannot finish FNEB's hundreds of rounds
+// over 50k materialized tags; the request answers 504 and the server
+// leaks no goroutines.
 func TestDeadline504(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s, ts := newTestServer(t, serve.Config{})
 	status, body := postJSON(t, ts.URL+"/v1/estimate", serve.EstimateRequest{
-		System:    serve.SystemSpec{N: 50000, Seed: 7, Synthetic: true},
+		System:    serve.SystemSpec{N: 50000, Seed: 7},
 		Estimator: "FNEB",
 		Epsilon:   0.1, Delta: 0.1,
 		TimeoutMs: 1,
@@ -314,7 +307,7 @@ func TestDeadline504(t *testing.T) {
 	}
 	// The cut session must unwind completely: poll until the goroutine
 	// count settles back to the pre-server baseline. Closing the httptest
-	// server reaps its keep-alives; Shutdown stops the batch collector.
+	// server reaps its keep-alives.
 	ts.Close()
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -332,54 +325,65 @@ func TestDeadline504(t *testing.T) {
 	}
 }
 
-// TestShutdownDrain: a request parked in the micro-batch window survives
-// Shutdown — the final window flushes and answers it correctly — while
-// new work and /healthz flip to 503.
+// TestShutdownDrain: a long batch in flight when Shutdown starts runs to
+// completion and answers correctly, while new work and /readyz flip to 503.
 func TestShutdownDrain(t *testing.T) {
-	s, ts := newTestServer(t, serve.Config{BatchWindow: time.Minute})
-	sys := rfidest.NewSystem(5000, rfidest.WithSynthetic(), rfidest.WithSeed(3))
-	want, err := sys.Run(context.Background(), rfidest.WithAccuracy(0.1, 0.1), rfidest.WithSeedSalt(11))
+	s, ts := newTestServer(t, serve.Config{})
+	// 64 tag-level trials keep the batch in flight for a few hundred ms.
+	sys := rfidest.NewSystem(20000, rfidest.WithSeed(42))
+	want, err := fleet.Run(context.Background(), fleet.Config{Seed: 5}, []fleet.Job{
+		{System: sys, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 64},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	salt := uint64(11)
 	type answer struct {
 		status int
 		body   []byte
 	}
-	parked := make(chan answer, 1)
+	inflight := make(chan answer, 1)
 	go func() {
-		status, body := postJSON(t, ts.URL+"/v1/estimate", serve.EstimateRequest{
-			System:  serve.SystemSpec{N: 5000, Seed: 3, Synthetic: true},
-			Epsilon: 0.1, Delta: 0.1,
-			Salt: &salt,
+		status, body := postJSON(t, ts.URL+"/v1/batch", serve.BatchRequest{
+			Seed: 5,
+			Jobs: []serve.BatchJob{{
+				System:    serve.SystemSpec{N: 20000, Seed: 42},
+				Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 64,
+			}},
 		})
-		parked <- answer{status, body}
+		inflight <- answer{status, body}
 	}()
-	// Wait until the request holds its admission slot (it is now parked
-	// in the minute-long batch window).
+	// Wait until the batch holds its admission slot.
 	for i := 0; ; i++ {
 		if s.Requests().Snapshot().Inflight == 1 {
 			break
 		}
 		if i > 500 {
-			t.Fatal("request never reached the batcher")
+			t.Fatal("batch never reached its admission slot")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	a := <-parked
+	a := <-inflight
 	if a.status != http.StatusOK {
-		t.Fatalf("parked request: status %d: %s", a.status, a.body)
+		t.Fatalf("in-flight batch: status %d: %s", a.status, a.body)
 	}
-	var resp serve.EstimateResponse
+	var resp serve.BatchResponse
 	if err := json.Unmarshal(a.body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Estimate != want {
-		t.Errorf("drained request drifted:\n got  %+v\n want %+v", resp.Estimate, want)
+	if resp.Report == nil || len(resp.Report.Jobs) != 1 {
+		t.Fatalf("malformed report: %.300s", a.body)
+	}
+	got, wantEst := resp.Report.Jobs[0].Estimates, want.Jobs[0].Estimates
+	if len(got) != len(wantEst) {
+		t.Fatalf("drained batch completed %d trials, want %d", len(got), len(wantEst))
+	}
+	for k := range got {
+		if got[k] != wantEst[k] {
+			t.Errorf("drained batch trial %d drifted:\n got  %+v\n want %+v", k, got[k], wantEst[k])
+		}
 	}
 	// The drained server refuses new work and reports itself unhealthy.
 	if status, _ := postJSON(t, ts.URL+"/v1/estimate", serve.EstimateRequest{
@@ -426,7 +430,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"obs.sessions 1",
 		"obs.http.route./v1/estimate.requests 1",
 		"obs.http.route./v1/estimate.status2xx 1",
-		"obs.http.route./v1/estimate.batched 1",
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("text metrics missing %q:\n%.600s", want, text)
@@ -447,12 +450,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestCoalescing: concurrent salted requests answered through shared
-// batches are each bit-identical to their direct in-process run.
-func TestCoalescing(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{
-		BatchWindow: 20 * time.Millisecond, BatchMaxSize: 8, BatchInterleave: true,
-	})
+// TestConcurrentEstimates: concurrent salted requests are each
+// bit-identical to their direct in-process run.
+func TestConcurrentEstimates(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
 	sys := rfidest.NewSystem(5000, rfidest.WithSynthetic(), rfidest.WithSeed(3))
 	const k = 8
 	want := make([]rfidest.Estimate, k)
@@ -490,7 +491,7 @@ func TestCoalescing(t *testing.T) {
 			t.Fatalf("request %d: %v", g.i, g.err)
 		}
 		if g.resp.Estimate != want[g.i] {
-			t.Errorf("request %d drifted under coalescing:\n got  %+v\n want %+v", g.i, g.resp.Estimate, want[g.i])
+			t.Errorf("request %d drifted under concurrency:\n got  %+v\n want %+v", g.i, g.resp.Estimate, want[g.i])
 		}
 	}
 }
@@ -532,5 +533,31 @@ func TestBatchEndpointMatchesInProcessFleet(t *testing.T) {
 				t.Errorf("job %d trial %d drifted:\n got  %+v\n want %+v", i, k, jr.Estimates[k], rep.Jobs[i].Estimates[k])
 			}
 		}
+	}
+}
+
+// TestBatchAttemptLimit: a job asking for more than 1000 sessions, as
+// trials or as trials × (retries+1), is refused with a 400 that names the
+// limit, before it can take an admission slot.
+func TestBatchAttemptLimit(t *testing.T) {
+	s, ts := newTestServer(t, serve.Config{})
+	spec := serve.SystemSpec{N: 1000, Synthetic: true}
+	for name, job := range map[string]serve.BatchJob{
+		"trials":         {System: spec, Epsilon: 0.1, Delta: 0.1, Trials: 1_000_000_000},
+		"trials×retries": {System: spec, Epsilon: 0.1, Delta: 0.1, Trials: 10, Retries: 100},
+		"huge retries":   {System: spec, Epsilon: 0.1, Delta: 0.1, Retries: 1 << 62},
+	} {
+		status, body := postJSON(t, ts.URL+"/v1/batch", serve.BatchRequest{Jobs: []serve.BatchJob{job}})
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", name, status, body)
+			continue
+		}
+		var er serve.ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, "limit 1000") {
+			t.Errorf("%s: error body does not name the limit: %s", name, body)
+		}
+	}
+	if n := s.Requests().Snapshot().Inflight; n != 0 {
+		t.Errorf("refused batches left %d requests in flight", n)
 	}
 }

@@ -29,19 +29,6 @@ type Config struct {
 	QueueDepth        int
 	RetryAfterSeconds int
 
-	// BatchWindow is how long the micro-batcher holds the first estimate
-	// request of a group open for company (default 2ms; negative disables
-	// coalescing — every request runs solo). BatchMaxSize flushes a
-	// window early once that many requests have coalesced (default 16).
-	BatchWindow  time.Duration
-	BatchMaxSize int
-	// BatchWorkers bounds the pool a coalesced batch runs on (0 means
-	// GOMAXPROCS); BatchInterleave runs coalesced batches on the
-	// deterministic round scheduler instead. Either way each request's
-	// salt pins its session, so the mode never changes results.
-	BatchWorkers    int
-	BatchInterleave bool
-
 	// DefaultTimeout bounds requests that do not set timeoutMs (default
 	// 30s; negative disables the default).
 	DefaultTimeout time.Duration
@@ -89,12 +76,6 @@ func (c *Config) applyDefaults() {
 	if c.RetryAfterSeconds <= 0 {
 		c.RetryAfterSeconds = 1
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchMaxSize <= 0 {
-		c.BatchMaxSize = 16
-	}
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
@@ -126,7 +107,6 @@ type Server struct {
 	reg     *obs.Registry        // estimation metrics (session/phase spans)
 	req     *obs.RequestRegistry // request metrics
 	adm     *admission
-	bat     *batcher    // nil when coalescing is disabled
 	brk     *breakerSet // nil when breakers are disabled (no clock)
 	systems *systemCache
 	mux     *http.ServeMux
@@ -178,10 +158,6 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	}
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.QueueDepth, s.req)
 	s.brk = newBreakerSet(cfg.Breaker, cfg.Seed, cfg.Now, s.req)
-	if cfg.BatchWindow > 0 {
-		s.bat = newBatcher(base, cfg.BatchWindow, cfg.BatchMaxSize,
-			cfg.Seed, cfg.BatchWorkers, cfg.BatchInterleave, s.reg)
-	}
 	if s.ckpt != nil {
 		st := s.ckpt.State()
 		s.saltSeq.Store(st.SaltSeq)
@@ -248,33 +224,15 @@ func (s *Server) nextSalt() (uint64, error) {
 }
 
 // Shutdown drains the server: intake stops (work endpoints answer 503,
-// /healthz goes unhealthy), the micro-batcher flushes its final window,
-// and every in-flight session runs to completion — sessions are bounded
-// in rounds, so the drain terminates on its own. If ctx expires first the
-// base context is cancelled, stopping sessions at their next round
-// boundary, and ctx.Err() is returned after the cut work lands.
+// /readyz goes unready) and every in-flight session runs to completion —
+// sessions are bounded in rounds, so the drain terminates on its own. If
+// ctx expires first the base context is cancelled, stopping sessions at
+// their next round boundary, and ctx.Err() is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	if s.bat != nil {
-		s.bat.close()
-	}
-	idle := make(chan struct{})
-	go func() {
-		defer close(idle)
-		if s.bat != nil {
-			s.bat.drain()
-		}
-		s.adm.awaitIdle(ctx)
-	}()
-	select {
-	case <-idle:
-		s.cancel()
-		return nil
-	case <-ctx.Done():
-		s.cancel()
-		<-idle
-		return ctx.Err()
-	}
+	s.adm.awaitIdle(ctx)
+	s.cancel()
+	return ctx.Err()
 }
 
 // awaitIdle blocks until no request holds an execution slot (or ctx

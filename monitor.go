@@ -139,14 +139,6 @@ func (m *Monitor) Run(ctx context.Context, sys *System, opts ...Option) (Estimat
 	return out, nil
 }
 
-// Estimate runs the next monitoring round against sys.
-//
-// Deprecated: Estimate is Run without cancellation or options; new code
-// calls Run.
-func (m *Monitor) Estimate(sys *System) (Estimate, error) {
-	return m.Run(nil, sys)
-}
-
 // Rounds returns how many rounds the monitor has completed.
 func (m *Monitor) Rounds() int { return m.inner.Rounds() }
 

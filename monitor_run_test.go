@@ -7,9 +7,9 @@ import (
 )
 
 // TestMonitorRunMatchesEstimate: two identically-configured monitors, one
-// driven through the deprecated Estimate and one through Run with explicit
-// salts, must track the same deployment identically — Run is the same
-// round, not a variant of it.
+// driven with a nil ctx (the form the retired Monitor.Estimate used) and
+// one with a live context, must track the same deployment identically —
+// the context only bounds the round, never changes it.
 func TestMonitorRunMatchesEstimate(t *testing.T) {
 	old, err := NewMonitor(0.05, 0.05, 2)
 	if err != nil {
@@ -21,12 +21,11 @@ func TestMonitorRunMatchesEstimate(t *testing.T) {
 	}
 	n := 100000
 	for round := 0; round < 4; round++ {
-		// Two systems with the same seed expose identical sessions; the
-		// deprecated path consumes session 0 of one, Run takes the
-		// salt-addressed equivalent of the other.
+		// Two systems with the same seed expose identical sessions; each
+		// monitor consumes session 0 of its own.
 		sysA := NewSystem(n, WithSeed(uint64(700+round)))
 		sysB := NewSystem(n, WithSeed(uint64(700+round)))
-		want, err := old.Estimate(sysA)
+		want, err := old.Run(nil, sysA) //nolint:staticcheck // nil ctx is the form under test
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +34,7 @@ func TestMonitorRunMatchesEstimate(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("round %d: Run %+v != Estimate %+v", round, got, want)
+			t.Fatalf("round %d: Run(ctx) %+v != Run(nil) %+v", round, got, want)
 		}
 		n = n * 103 / 100
 	}

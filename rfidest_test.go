@@ -1,13 +1,14 @@
 package rfidest
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
 func TestQuickstartFlow(t *testing.T) {
 	sys := NewSystem(500000, WithSeed(42))
-	est, err := sys.EstimateBFCE(0.05, 0.05)
+	est, err := sys.Run(context.Background(), WithAccuracy(0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestDistributions(t *testing.T) {
 		if sys.Distribution() != d {
 			t.Fatalf("distribution not stored: %v", d)
 		}
-		est, err := sys.EstimateBFCE(0.05, 0.05)
+		est, err := sys.Run(context.Background(), WithAccuracy(0.05, 0.05))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestSyntheticSystem(t *testing.T) {
 	const trials = 60
 	for seed := uint64(0); seed < trials; seed++ {
 		sys := NewSystem(300000, WithSeed(seed), WithSynthetic())
-		est, err := sys.EstimateBFCE(0.05, 0.05)
+		est, err := sys.Run(context.Background(), WithAccuracy(0.05, 0.05))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestSyntheticSystem(t *testing.T) {
 
 func TestPaperTagHashOption(t *testing.T) {
 	sys := NewSystem(100000, WithSeed(11), WithPaperTagHash())
-	est, err := sys.EstimateBFCE(0.05, 0.05)
+	est, err := sys.Run(context.Background(), WithAccuracy(0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestPaperTagHashOption(t *testing.T) {
 
 func TestIDHashOption(t *testing.T) {
 	sys := NewSystem(100000, WithSeed(13), WithIDHash(), WithDistribution(Normal))
-	est, err := sys.EstimateBFCE(0.05, 0.05)
+	est, err := sys.Run(context.Background(), WithAccuracy(0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestIDHashOption(t *testing.T) {
 
 func TestNoiseOption(t *testing.T) {
 	sys := NewSystem(100000, WithSeed(15), WithNoise(0.01, 0.01))
-	est, err := sys.EstimateBFCE(0.05, 0.05)
+	est, err := sys.Run(context.Background(), WithAccuracy(0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestEstimateWithAllRegistered(t *testing.T) {
 	}
 	sys := NewSystem(100000, WithSeed(17), WithSynthetic())
 	for _, name := range names {
-		est, err := sys.EstimateWith(name, 0.1, 0.1)
+		est, err := sys.Run(context.Background(), WithEstimator(name), WithAccuracy(0.1, 0.1))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -122,7 +123,7 @@ func TestEstimateWithAllRegistered(t *testing.T) {
 
 func TestEstimateWithUnknownName(t *testing.T) {
 	sys := NewSystem(10, WithSynthetic())
-	if _, err := sys.EstimateWith("nope", 0.1, 0.1); err == nil {
+	if _, err := sys.Run(context.Background(), WithEstimator("nope"), WithAccuracy(0.1, 0.1)); err == nil {
 		t.Fatal("unknown estimator accepted")
 	}
 }
@@ -130,7 +131,7 @@ func TestEstimateWithUnknownName(t *testing.T) {
 func TestEstimateWithBadAccuracy(t *testing.T) {
 	sys := NewSystem(10, WithSynthetic())
 	for _, bad := range [][2]float64{{0, 0.1}, {0.1, 0}, {1, 0.1}, {0.1, 1}} {
-		if _, err := sys.EstimateWith("BFCE", bad[0], bad[1]); err == nil {
+		if _, err := sys.Run(context.Background(), WithEstimator("BFCE"), WithAccuracy(bad[0], bad[1])); err == nil {
 			t.Fatalf("bad accuracy %v accepted", bad)
 		}
 	}
@@ -138,11 +139,11 @@ func TestEstimateWithBadAccuracy(t *testing.T) {
 
 func TestRepeatedEstimatesAreIndependent(t *testing.T) {
 	sys := NewSystem(200000, WithSeed(19))
-	a, err := sys.EstimateBFCE(0.05, 0.05)
+	a, err := sys.Run(context.Background(), WithAccuracy(0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sys.EstimateBFCE(0.05, 0.05)
+	b, err := sys.Run(context.Background(), WithAccuracy(0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +153,11 @@ func TestRepeatedEstimatesAreIndependent(t *testing.T) {
 }
 
 func TestDeterministicAcrossSystems(t *testing.T) {
-	a, err := NewSystem(50000, WithSeed(21)).EstimateBFCE(0.05, 0.05)
+	a, err := NewSystem(50000, WithSeed(21)).Run(context.Background(), WithAccuracy(0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSystem(50000, WithSeed(21)).EstimateBFCE(0.05, 0.05)
+	b, err := NewSystem(50000, WithSeed(21)).Run(context.Background(), WithAccuracy(0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestDeterministicAcrossSystems(t *testing.T) {
 
 func TestBFCEDetail(t *testing.T) {
 	sys := NewSystem(250000, WithSeed(23))
-	det, err := sys.EstimateBFCEDetail(0.05, 0.05)
+	det, err := sys.RunBFCEDetail(context.Background(), WithAccuracy(0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestBFCEDetail(t *testing.T) {
 
 func TestBFCEDetailBadConfig(t *testing.T) {
 	sys := NewSystem(10, WithSynthetic())
-	if _, err := sys.EstimateBFCEDetail(0, 0.5); err == nil {
+	if _, err := sys.RunBFCEDetail(context.Background(), WithAccuracy(0, 0.5)); err == nil {
 		t.Fatal("bad epsilon accepted")
 	}
 }
@@ -227,7 +228,7 @@ func TestEstimateReportsTagTransmissions(t *testing.T) {
 	// BFCE triggers ~n·k·(p_s·(probe+rough fraction) + p_o) responses —
 	// far fewer than one per tag at these scales.
 	sys := NewSystem(200000, WithSeed(51))
-	est, err := sys.EstimateBFCE(0.05, 0.05)
+	est, err := sys.Run(context.Background(), WithAccuracy(0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestEstimateReportsTagTransmissions(t *testing.T) {
 		t.Fatalf("BFCE triggered %v transmissions per tag, expected ≪ 1", perTag)
 	}
 	// LOF makes every tag respond every round: 10 tx/tag exactly.
-	lof, err := sys.EstimateWith("LOF", 0.1, 0.1)
+	lof, err := sys.Run(context.Background(), WithEstimator("LOF"), WithAccuracy(0.1, 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestRunDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.EstimateWithSalt("BFCE", 0.05, 0.05, 7)
+	want, err := sys.Run(context.Background(), rfidest.WithEstimator("BFCE"), rfidest.WithAccuracy(0.05, 0.05), rfidest.WithSalt(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rfidest
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestInventoryExactAndCostly(t *testing.T) {
 	if !inv.Complete || inv.Identified != 2000 {
 		t.Fatalf("inventory incomplete: %+v", inv)
 	}
-	est, err := sys.EstimateBFCE(0.05, 0.05)
+	est, err := sys.Run(context.Background(), WithAccuracy(0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
