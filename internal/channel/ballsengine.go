@@ -11,9 +11,10 @@ import (
 // Binomial(n·k, p) (each of the n·k (tag, hash) pairs responds
 // independently with probability p) and responses land in slots according
 // to the configured slot distribution. For ideal hashing this is the same
-// stochastic process as TagEngine — see TestEnginesAgree — at O(n·k·p + w)
-// per frame instead of O(n·k), which makes protocols that run thousands of
-// frames (ZOE) tractable in large sweeps.
+// stochastic process as TagEngine — see TestEnginesAgree. A frame costs
+// O(min(n·k·p, w)) RNG draws plus the w/64 words of the returned frame, with
+// no per-slot counts, which makes protocols that run thousands of frames
+// (ZOE) tractable in large sweeps.
 //
 // Like every engine, a BallsEngine is single-session state (its RNG and
 // energy counter advance on every frame) — one goroutine drives it for
@@ -41,87 +42,76 @@ func (e *BallsEngine) Size() int { return e.N }
 
 // frameRNG derives the stream for one frame from the frame seed, so equal
 // seeds replay identical frames (matching the deterministic tag behaviour).
-func (e *BallsEngine) frameRNG(req FrameRequest) *xrand.Rand {
-	return xrand.NewStream(e.rng.Uint64(), req.Seed)
+// It is xrand.NewStream(e.rng.Uint64(), req.Seed), returned by value so the
+// frame's generator stays on the stack.
+func (e *BallsEngine) frameRNG(req FrameRequest) xrand.Rand {
+	return xrand.Seeded(xrand.Combine(e.rng.Uint64(), req.Seed))
 }
 
 // RunFrame implements Engine.
 func (e *BallsEngine) RunFrame(req FrameRequest) BitVec {
 	observe := req.validate()
-	rng := e.frameRNG(req)
-	counts := scatterCounts(rng, e.N*req.K, req)
 	busy := NewBitVec(observe)
 	tx := 0
-	for wi := 0; wi < busy.bits.Words(); wi++ {
-		base := wi << 6
-		end := base + 64
-		if end > observe {
-			end = observe
-		}
-		var w uint64
-		for i := base; i < end; i++ {
-			c := counts[i]
-			// Branch-free busy bit (the compiler lowers this to SETNE): a
-			// data-dependent branch here costs ~2x on random frames.
-			var bit uint64
-			if c != 0 {
-				bit = 1
-			}
-			w |= bit << uint(i-base)
+	rng := e.frameRNG(req)
+	scatterBalls(&rng, e.N*req.K, req, func(slot, c int) {
+		if slot < observe {
+			busy.setBusy(slot)
 			tx += c
 		}
-		busy.bits.XorWord(wi, w)
-	}
+	})
 	e.transmissions += tx
 	return busy
 }
 
-// scatterCounts samples the exact multinomial occupancy of a frame: the
-// response count is Binomial(pairs, p) and responses are distributed over
-// the W slots per the slot distribution. When the number of responses is
-// large relative to the frame it switches from per-ball throwing to
-// sequential binomial splitting (bin_i ~ Bin(remaining, q_i / tail_i)),
-// which samples the identical joint law in O(W) instead of O(balls).
-func scatterCounts(rng *xrand.Rand, pairs int, req FrameRequest) []int {
+// scatterBalls samples the exact multinomial occupancy of a frame and
+// reports it as add(slot, c) calls, each landing c ≥ 1 responses in slot; a
+// slot's count is the sum of its calls. The response count is
+// Binomial(pairs, p) and responses are distributed over the W slots per the
+// slot distribution. When the number of responses is large relative to the
+// frame it switches from per-ball throwing to sequential binomial splitting
+// (bin_i ~ Bin(remaining, q_i / tail_i)), which samples the identical joint
+// law in O(W) instead of O(balls).
+func scatterBalls(rng *xrand.Rand, pairs int, req FrameRequest, add func(slot, c int)) {
 	balls := rng.Binomial(pairs, req.P)
-	counts := make([]int, req.W)
+	last := req.W - 1
 	switch req.Dist {
 	case Uniform:
 		if balls <= 4*req.W {
 			for i := 0; i < balls; i++ {
-				counts[rng.Intn(req.W)]++
+				add(rng.Intn(req.W), 1)
 			}
-			return counts
+			return
 		}
 		remaining := balls
-		for i := 0; i < req.W-1 && remaining > 0; i++ {
-			c := rng.Binomial(remaining, 1/float64(req.W-i))
-			counts[i] = c
-			remaining -= c
+		for i := 0; i < last && remaining > 0; i++ {
+			if c := rng.Binomial(remaining, 1/float64(req.W-i)); c > 0 {
+				add(i, c)
+				remaining -= c
+			}
 		}
-		counts[req.W-1] += remaining
-		return counts
+		if remaining > 0 {
+			add(last, remaining)
+		}
 	case Geometric:
 		if balls <= 4*req.W {
 			for i := 0; i < balls; i++ {
-				j := rng.GeometricHalf()
-				if j >= req.W {
-					j = req.W - 1
-				}
-				counts[j]++
+				add(min(rng.GeometricHalf(), last), 1)
 			}
-			return counts
+			return
 		}
 		// Slot j carries 2^{-(j+1)} of the mass; conditioned on not
 		// landing earlier, each ball picks slot j with probability 1/2.
 		remaining := balls
-		for j := 0; j < req.W-1 && remaining > 0; j++ {
-			c := rng.Binomial(remaining, 0.5)
-			counts[j] = c
-			remaining -= c
+		for j := 0; j < last && remaining > 0; j++ {
+			if c := rng.Binomial(remaining, 0.5); c > 0 {
+				add(j, c)
+				remaining -= c
+			}
 		}
-		counts[req.W-1] += remaining
-		return counts
+		if remaining > 0 {
+			add(last, remaining)
+		}
 	default:
 		panic("channel: unknown slot distribution")
 	}

@@ -11,13 +11,14 @@
 //
 //   - TagEngine walks every tag and executes the tag-side algorithm
 //     literally (Algorithm 2 of the paper), including the paper's
-//     XOR/bitget hash and RN-based persistence when configured. O(n·k) per
-//     frame.
+//     XOR/bitget hash and RN-based persistence when configured. A tag
+//     hashes its slot only once its persistence coin says it transmits, so
+//     a frame costs O(n·k) coin checks and O(n·k·p) slot hashes.
 //   - BallsEngine samples the exact occupancy law of the same process
-//     (Binomial-thinned balls scattered multinomially), without iterating
-//     tags. O(n·k·p + w) per frame. It is statistically exact for ideal
-//     hashing, which makes large comparison sweeps (ZOE's thousands of
-//     single-slot frames) tractable.
+//     (Binomial-thinned balls scattered multinomially) straight into the
+//     frame, without iterating tags: O(min(n·k·p, w)) RNG draws per frame.
+//     It is statistically exact for ideal hashing, which makes large
+//     comparison sweeps (ZOE's thousands of single-slot frames) tractable.
 //
 // A Reader ties an engine to a timing.Clock so protocols are charged for
 // every broadcast bit and every sensed slot, which is how the paper's

@@ -7,9 +7,11 @@ import (
 	"rfidest/internal/tags"
 )
 
-// Frame aggregate-query benchmarks: the word-packed BitVec against the
-// retained []bool reference path (reference.go) on the paper's w = 8192
-// geometry. CI smoke runs these via `go test -bench=Frame -benchtime=1x`;
+// Frame benchmarks on the paper's w = 8192 geometry. Each Packed
+// benchmark has a BoolRef twin running the implementation retained in
+// reference_test.go: the []bool frame for the aggregate queries, and for
+// the Scatter rows the slot-first tag engine and the counts-array balls
+// engine. CI smoke runs these via `go test -bench=Frame -benchtime=1x`;
 // results/BENCH_frame.json records a full before/after run.
 
 const benchFrameW = 8192
@@ -80,31 +82,34 @@ func BenchmarkFrameRunsBoolRef(b *testing.B) {
 	}
 }
 
-func BenchmarkFrameScatterTagPacked(b *testing.B) {
+// benchScatterTag runs 8192-slot frames at n = 100000, k = 3, p = 0.01
+// through the engine path (ref false) or the slot-first reference.
+func benchScatterTag(b *testing.B, mode HashMode, ref bool) {
 	pop := tags.Generate(100000, tags.T1, 1)
-	e := NewTagEngine(pop, IdealRN)
+	e := NewTagEngine(pop, mode)
 	req := FrameRequest{W: benchFrameW, K: 3, P: 0.01}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req.Seed = uint64(i)
-		_ = e.RunFrame(req)
+		if ref {
+			_ = e.refRunFrame(req)
+		} else {
+			_ = e.RunFrame(req)
+		}
 	}
 }
 
-func BenchmarkFrameScatterTagBoolRef(b *testing.B) {
-	pop := tags.Generate(100000, tags.T1, 1)
-	e := NewTagEngine(pop, IdealRN)
-	req := FrameRequest{W: benchFrameW, K: 3, P: 0.01}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.Seed = uint64(i)
-		_ = e.refRunFrame(req)
-	}
-}
+func BenchmarkFrameScatterTagPacked(b *testing.B)  { benchScatterTag(b, IdealRN, false) }
+func BenchmarkFrameScatterTagBoolRef(b *testing.B) { benchScatterTag(b, IdealRN, true) }
+
+func BenchmarkFrameScatterTagPaperXORPacked(b *testing.B)  { benchScatterTag(b, PaperXOR, false) }
+func BenchmarkFrameScatterTagPaperXORBoolRef(b *testing.B) { benchScatterTag(b, PaperXOR, true) }
 
 func BenchmarkFrameScatterBallsPacked(b *testing.B) {
 	e := NewBallsEngine(100000, 3)
 	req := FrameRequest{W: benchFrameW, K: 3, P: 0.01}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req.Seed = uint64(i)
@@ -115,6 +120,7 @@ func BenchmarkFrameScatterBallsPacked(b *testing.B) {
 func BenchmarkFrameScatterBallsBoolRef(b *testing.B) {
 	e := NewBallsEngine(100000, 3)
 	req := FrameRequest{W: benchFrameW, K: 3, P: 0.01}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req.Seed = uint64(i)

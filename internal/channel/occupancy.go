@@ -55,6 +55,11 @@ func stateOf(count int) SlotState {
 	}
 }
 
+// plus returns the state of a slot in state s after c more transmissions.
+// Empty, Single and Collision are the counts 0, 1 and ≥2 saturated at 2, so
+// adding to the saturated count gives the state of the exact count.
+func (s SlotState) plus(c int) SlotState { return stateOf(int(s) + c) }
+
 // OccupancyEngine is implemented by engines that can also execute frames at
 // slot-state granularity. All engines in this package implement it.
 type OccupancyEngine interface {
@@ -67,36 +72,31 @@ type OccupancyEngine interface {
 // RunFrameOccupancy implements OccupancyEngine for the per-tag engine.
 func (e *TagEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
 	observe := req.validate()
-	counts := make([]int, req.W)
-	for ti := range e.Pop.Tags {
-		tag := &e.Pop.Tags[ti]
-		for j := 0; j < req.K; j++ {
-			slot, responds := e.tagDecision(tag, req, j)
-			if responds {
-				counts[slot]++
-				if slot < observe {
-					e.transmissions++
-				}
-			}
-		}
-	}
 	occ := make(Occupancy, observe)
-	for i := range occ {
-		occ[i] = stateOf(counts[i])
-	}
+	tx := 0
+	e.eachResponse(req, func(slot int) {
+		if slot < observe {
+			occ[slot] = occ[slot].plus(1)
+			tx++
+		}
+	})
+	e.transmissions += tx
 	return occ
 }
 
 // RunFrameOccupancy implements OccupancyEngine for the synthetic engine.
 func (e *BallsEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
 	observe := req.validate()
-	rng := e.frameRNG(req)
-	counts := scatterCounts(rng, e.N*req.K, req)
 	occ := make(Occupancy, observe)
-	for i := range occ {
-		occ[i] = stateOf(counts[i])
-		e.transmissions += counts[i]
-	}
+	tx := 0
+	rng := e.frameRNG(req)
+	scatterBalls(&rng, e.N*req.K, req, func(slot, c int) {
+		if slot < observe {
+			occ[slot] = occ[slot].plus(c)
+			tx += c
+		}
+	})
+	e.transmissions += tx
 	return occ
 }
 

@@ -12,13 +12,30 @@
 // slot, geometric "lottery" slot, and p-persistence decisions).
 package hash
 
-import "rfidest/internal/xrand"
+import (
+	"math/bits"
+
+	"rfidest/internal/xrand"
+)
 
 // Uniform64 hashes the pair (x, seed) to a uniformly distributed 64-bit
 // value. Different seeds give independent hash functions over the same key
 // space, which is how protocols obtain their k "independent hash functions".
 func Uniform64(x, seed uint64) uint64 {
-	return xrand.Mix64(xrand.Mix64(x^0x51_7c_c1_b7_27_22_0a_95) ^ seed)
+	return Reseed(Premix(x), seed)
+}
+
+// Premix is the seed-independent half of Uniform64:
+// Uniform64(x, seed) == Reseed(Premix(x), seed). A caller that hashes one
+// key under many seeds (a tag's k slot hashes and persistence coins) mixes
+// the key once.
+func Premix(x uint64) uint64 {
+	return xrand.Mix64(x ^ 0x51_7c_c1_b7_27_22_0a_95)
+}
+
+// Reseed finishes Uniform64 for a key already passed through Premix.
+func Reseed(pre, seed uint64) uint64 {
+	return xrand.Mix64(pre ^ seed)
 }
 
 // UniformSlot maps (x, seed) to a slot index in [0, w). w must be positive.
@@ -28,11 +45,15 @@ func UniformSlot(x, seed uint64, w int) int {
 	if w <= 0 {
 		panic("hash: UniformSlot with non-positive w")
 	}
-	h := Uniform64(x, seed)
-	// Multiply-shift range reduction: floor(h/2^64 * w). The bias for
-	// w << 2^64 is negligible (< w/2^64) and, unlike masking, works for
-	// arbitrary w.
-	hi, _ := mul64(h, uint64(w))
+	return ScaleSlot(Uniform64(x, seed), w)
+}
+
+// ScaleSlot maps a uniform 64-bit hash to a slot index in [0, w) by
+// multiply-shift range reduction: floor(h/2^64 * w). The bias for
+// w << 2^64 is negligible (< w/2^64) and, unlike masking, works for
+// arbitrary w. UniformSlot(x, seed, w) == ScaleSlot(Uniform64(x, seed), w).
+func ScaleSlot(h uint64, w int) int {
+	hi, _ := bits.Mul64(h, uint64(w))
 	return int(hi)
 }
 
@@ -61,17 +82,6 @@ func GeometricSlot(x, seed uint64, max int) int {
 		}
 	}
 	return j
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // PaperTagHash is the tag-side hash of BFCE §IV-E.2:

@@ -74,8 +74,15 @@ type Rand struct {
 // authors' recommendation (avoids the all-zero state and decorrelates
 // adjacent seeds).
 func New(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
-	return &Rand{
+	r := Seeded(seed)
+	return &r
+}
+
+// Seeded returns, by value, the generator New(seed) points to. A caller
+// that seeds a short-lived generator per frame keeps it on the stack.
+func Seeded(seed uint64) Rand {
+	sm := SplitMix64{state: seed}
+	return Rand{
 		s0: sm.Uint64(),
 		s1: sm.Uint64(),
 		s2: sm.Uint64(),
