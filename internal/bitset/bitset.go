@@ -177,6 +177,23 @@ func (s *Set) Truncate(n int) *Set {
 	return s
 }
 
+// Reset makes s an all-zero Set of n bits in place, reusing its storage
+// when that holds n bits. It panics if n < 0.
+func (s *Set) Reset(n int) *Set {
+	if n < 0 {
+		panic("bitset: negative length")
+	}
+	words := (n + 63) / 64
+	if cap(s.words) < words {
+		s.words = make([]uint64, words)
+	} else {
+		s.words = s.words[:words]
+		clear(s.words)
+	}
+	s.n = n
+	return s
+}
+
 // FirstSet returns the index of the lowest set bit, or -1 if none: the
 // word-at-a-time equivalent of scanning for the first 1.
 func (s *Set) FirstSet() int {

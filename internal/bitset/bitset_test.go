@@ -313,6 +313,25 @@ func TestTruncate(t *testing.T) {
 	s.Truncate(65)
 }
 
+func TestReset(t *testing.T) {
+	s := New(130)
+	for i := 0; i < 130; i++ {
+		s.Set1(i)
+	}
+	s.Reset(70)
+	if s.Len() != 70 || s.Count() != 0 || s.Words() != 2 {
+		t.Fatalf("shrinking Reset: len=%d count=%d words=%d", s.Len(), s.Count(), s.Words())
+	}
+	s.Set1(69)
+	s.Reset(200)
+	if s.Len() != 200 || s.Count() != 0 || s.Words() != 4 {
+		t.Fatalf("growing Reset: len=%d count=%d words=%d", s.Len(), s.Count(), s.Words())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.Reset(130) }); allocs != 0 {
+		t.Fatalf("Reset within capacity allocates %v times", allocs)
+	}
+}
+
 func TestDeMorganProperty(t *testing.T) {
 	// |a OR b| + |a AND b| == |a| + |b| for any equal-length sets.
 	f := func(x, y []bool) bool {

@@ -1,36 +1,38 @@
 package channel
 
 import (
+	"fmt"
 	"testing"
 
 	"rfidest/internal/tags"
 )
 
-// BenchmarkTagEngineFrame measures one full 8192-slot BFCE-style frame
-// over 100k materialized tags (the hot path of tag-level experiments).
-func BenchmarkTagEngineFrame(b *testing.B) {
-	pop := tags.Generate(100000, tags.T1, 1)
-	e := NewTagEngine(pop, IdealRN)
-	req := FrameRequest{W: 8192, K: 3, P: 0.01}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.Seed = uint64(i)
-		_ = e.RunFrame(req)
+// benchTagFrames measures one full 8192-slot BFCE-style frame over
+// materialized populations of 1e4, 1e5 and 1e6 tags (the hot path of
+// tag-level experiments). Frames over more than one chunk of tags shard
+// across cores; run with -cpu 1,2 to compare.
+func benchTagFrames(b *testing.B, mode HashMode, seed uint64) {
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		pop := tags.Generate(n, tags.T1, seed)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e := NewTagEngine(pop, mode)
+			req := FrameRequest{W: 8192, K: 3, P: 0.01}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req.Seed = uint64(i)
+				_ = e.RunFrame(req)
+			}
+		})
 	}
 }
 
-// BenchmarkTagEnginePaperXORFrame measures the same frame under the
+// BenchmarkTagEngineFrame measures frames under the ideal RN hash.
+func BenchmarkTagEngineFrame(b *testing.B) { benchTagFrames(b, IdealRN, 1) }
+
+// BenchmarkTagEnginePaperXORFrame measures the same frames under the
 // paper's literal tag-side hash.
-func BenchmarkTagEnginePaperXORFrame(b *testing.B) {
-	pop := tags.Generate(100000, tags.T1, 2)
-	e := NewTagEngine(pop, PaperXOR)
-	req := FrameRequest{W: 8192, K: 3, P: 0.01}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.Seed = uint64(i)
-		_ = e.RunFrame(req)
-	}
-}
+func BenchmarkTagEnginePaperXORFrame(b *testing.B) { benchTagFrames(b, PaperXOR, 2) }
 
 // BenchmarkBallsEngineFrame measures the synthetic engine on the same
 // frame (the fast path large sweeps rely on).

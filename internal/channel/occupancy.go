@@ -72,16 +72,10 @@ type OccupancyEngine interface {
 // RunFrameOccupancy implements OccupancyEngine for the per-tag engine.
 func (e *TagEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
 	observe := req.validate()
-	occ := make(Occupancy, observe)
-	tx := 0
-	e.eachResponse(req, func(slot int) {
-		if slot < observe {
-			occ[slot] = occ[slot].plus(1)
-			tx++
-		}
-	})
-	e.transmissions += tx
-	return occ
+	s := frameSink{occ: make(Occupancy, observe)}
+	e.execute(req, occupancyFrame, observe, &s)
+	e.transmissions += s.tx
+	return s.occ
 }
 
 // RunFrameOccupancy implements OccupancyEngine for the synthetic engine.

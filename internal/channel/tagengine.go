@@ -3,6 +3,10 @@ package channel
 import (
 	"math"
 	"math/bits"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"rfidest/internal/hash"
 	"rfidest/internal/tags"
@@ -51,11 +55,14 @@ func (m HashMode) String() string {
 // hashes: as in Algorithm 2, a tag selects a slot only once its coin says
 // it transmits.
 //
-// An engine belongs to exactly one reader session and is driven by one
-// goroutine: the energy counter is written on every frame without
-// synchronization. Pop, however, is only read, so any number of sessions
-// may share one population — which is how a shared System supports
-// concurrent estimation (it builds a fresh engine per session).
+// An engine belongs to exactly one reader session and its caller drives it
+// from one goroutine: the energy counter is written on every frame without
+// synchronization. A frame over more than one chunk of tags fans out
+// internally to free helper goroutines (see execute) and joins them before
+// it returns, with the same result to the bit. Pop is only read, so any
+// number of sessions may share one population — which is how a shared
+// System supports concurrent estimation (it builds a fresh engine per
+// session).
 type TagEngine struct {
 	Pop  *tags.Population
 	Mode HashMode
@@ -77,16 +84,10 @@ func (e *TagEngine) Size() int { return e.Pop.N() }
 // RunFrame implements Engine.
 func (e *TagEngine) RunFrame(req FrameRequest) BitVec {
 	observe := req.validate()
-	busy := NewBitVec(observe)
-	tx := 0
-	e.eachResponse(req, func(slot int) {
-		if slot < observe {
-			busy.setBusy(slot)
-			tx++
-		}
-	})
-	e.transmissions += tx
-	return busy
+	s := frameSink{busy: NewBitVec(observe)}
+	e.execute(req, busyFrame, observe, &s)
+	e.transmissions += s.tx
+	return s.busy
 }
 
 // FirstResponse implements Engine. It avoids materializing the frame by
@@ -99,20 +100,239 @@ func (e *TagEngine) FirstResponse(req FrameRequest, maxScan int) int {
 	if maxScan <= 0 || maxScan > req.W {
 		maxScan = req.W
 	}
-	min := -1
-	txAtMin := 0
-	e.eachResponse(req, func(slot int) {
-		switch {
-		case slot >= maxScan:
-		case min == -1 || slot < min:
-			min = slot
-			txAtMin = 1
-		case slot == min:
-			txAtMin++
+	s := frameSink{min: -1}
+	e.execute(req, firstFrame, maxScan, &s)
+	e.transmissions += s.tx
+	return s.min
+}
+
+// Frame sharding. Tags build a frame independently and the reader senses
+// an order-free fold of their responses (OR of busy bits, saturating sum
+// of slot states, minimum busy slot), so the frame of the population is
+// the fold of the frames of any partition of it. execute splits the
+// population into chunks of shardChunk tags; the calling goroutine and the
+// helpers it could claim take chunks from a shared cursor until none are
+// left, each folding into its own sink, and the caller merges the sinks
+// once every helper is done. The frame and its metering are the same to
+// the bit for any core count and any schedule.
+const (
+	// shardChunk is the number of tags a participant claims at a time. A
+	// frame shards only when its population spans at least two chunks.
+	shardChunk = 8192
+	// maxHelpers caps the helper slots (a frame's claim is one uint64).
+	maxHelpers = 63
+)
+
+// frameKind selects the fold a frame's sinks apply to responses.
+type frameKind uint8
+
+const (
+	busyFrame      frameKind = iota // RunFrame: busy bits below limit
+	occupancyFrame                  // RunFrameOccupancy: slot states below limit
+	firstFrame                      // FirstResponse: least busy slot below limit
+)
+
+// frameSink is one participant's fold of the responses it executed.
+type frameSink struct {
+	busy BitVec    // busyFrame
+	occ  Occupancy // occupancyFrame
+	min  int       // firstFrame: least slot below limit, -1 if none
+	// tx counts the responses metered: all below limit, or for a
+	// firstFrame those in slot min.
+	tx int
+}
+
+// merge folds another participant's sink of the same frame into s.
+func (s *frameSink) merge(o *frameSink, kind frameKind) {
+	switch kind {
+	case busyFrame:
+		s.busy.or(o.busy)
+	case occupancyFrame:
+		for i, c := range o.occ {
+			if c != Empty {
+				s.occ[i] = s.occ[i].plus(int(c))
+			}
 		}
-	})
-	e.transmissions += txAtMin
-	return min
+	case firstFrame:
+		switch {
+		case o.min == -1:
+			return
+		case s.min == -1 || o.min < s.min:
+			s.min, s.tx = o.min, o.tx
+			return
+		case o.min > s.min:
+			return
+		}
+	}
+	s.tx += o.tx
+}
+
+// frameJob is one frame in execution. It is fixed before any helper starts
+// and until every helper is done; only the chunk cursor moves.
+type frameJob struct {
+	e     *TagEngine
+	req   FrameRequest
+	kind  frameKind
+	limit int          // slots at or beyond limit are not observed
+	next  atomic.Int64 // first tag of the next unclaimed chunk
+	done  sync.WaitGroup
+}
+
+// helper is a process-wide helper slot; the slots are process-wide so that
+// their cap holds across every engine in the process. A slot's sink
+// storage outlives the frames it serves, a sharded frame's job lives in
+// its lowest claimed slot, and run is made once, so once warm a frame
+// allocates nothing for its helpers.
+type helper struct {
+	claimed atomic.Bool
+	job     *frameJob // frame served; nil while free
+	host    frameJob  // the job of a frame whose lowest slot this is
+	sink    frameSink
+	run     func()
+}
+
+var helpers [maxHelpers]helper
+
+func init() {
+	for i := range helpers {
+		h := &helpers[i]
+		h.sink.busy = NewBitVec(0)
+		h.run = h.work
+	}
+}
+
+// work folds chunks of h.job into h's sink until none are left.
+func (h *helper) work() {
+	j, s := h.job, &h.sink
+	switch j.kind {
+	case busyFrame:
+		s.busy.bits.Reset(j.limit)
+	case occupancyFrame:
+		s.occ = slices.Grow(s.occ[:0], j.limit)[:j.limit]
+		clear(s.occ)
+	}
+	s.min, s.tx = -1, 0
+	j.respondChunks(s)
+	j.done.Done()
+}
+
+// execute runs the frame req over the whole population, folding it into
+// s. A frame that spans at least two chunks and can produce responses
+// claims free helper slots, never waiting for one: at most GOMAXPROCS−1
+// helpers run process-wide, so with every slot taken (say by a worker pool
+// that already fills the cores) a frame runs on its caller alone. Every
+// helper is joined before execute returns.
+func (e *TagEngine) execute(req FrameRequest, kind frameKind, limit int, s *frameSink) {
+	j := frameJob{e: e, req: req, kind: kind, limit: limit}
+	if n := len(e.Pop.Tags); n > shardChunk && req.P > 0 {
+		// A run over no tags raises any panic of the frame's setup (a
+		// PaperXOR width that is not a power of two) here, on the caller.
+		j.respond(nil, s)
+		if claimed := claimHelpers((n - 1) / shardChunk); claimed != 0 {
+			host := &helpers[bits.TrailingZeros64(claimed)].host
+			host.e, host.req, host.kind, host.limit = e, req, kind, limit
+			host.next.Store(0)
+			host.shard(claimed, s)
+			return
+		}
+	}
+	j.respondChunks(s)
+}
+
+// shard runs j on the caller and the claimed helper slots, merges their
+// sinks into s and frees the slots.
+func (j *frameJob) shard(claimed uint64, s *frameSink) {
+	for m := claimed; m != 0; m &= m - 1 {
+		h := &helpers[bits.TrailingZeros64(m)]
+		h.job = j
+		j.done.Add(1)
+		go h.run()
+	}
+	j.respondChunks(s)
+	j.done.Wait()
+	for m := claimed; m != 0; m &= m - 1 {
+		h := &helpers[bits.TrailingZeros64(m)]
+		s.merge(&h.sink, j.kind)
+		h.job = nil
+	}
+	j.e = nil
+	for m := claimed; m != 0; m &= m - 1 {
+		helpers[bits.TrailingZeros64(m)].claimed.Store(false)
+	}
+}
+
+// claimHelpers claims up to want free helper slots among the first
+// GOMAXPROCS−1 and returns them as a bit mask.
+func claimHelpers(want int) uint64 {
+	var claimed uint64
+	slots := min(runtime.GOMAXPROCS(0)-1, maxHelpers)
+	for i := 0; i < slots && want > 0; i++ {
+		if helpers[i].claimed.CompareAndSwap(false, true) {
+			claimed |= 1 << i
+			want--
+		}
+	}
+	return claimed
+}
+
+// respondChunks claims chunks of the population until none are left and
+// folds their responses into s.
+func (j *frameJob) respondChunks(s *frameSink) {
+	ts := j.e.Pop.Tags
+	for {
+		lo := int(j.next.Add(shardChunk)) - shardChunk
+		if lo >= len(ts) {
+			return
+		}
+		j.respond(ts[lo:min(lo+shardChunk, len(ts))], s)
+	}
+}
+
+// respond folds the responses of the tags ts into s. The fold runs on
+// locals and is stored back once, so helpers' sinks are not written per
+// response.
+func (j *frameJob) respond(ts []tags.Tag, s *frameSink) {
+	limit := j.limit
+	first, tx := s.min, s.tx
+	var emit func(slot int)
+	switch j.kind {
+	case busyFrame:
+		busy := s.busy
+		emit = func(slot int) {
+			if slot < limit {
+				busy.setBusy(slot)
+				tx++
+			}
+		}
+	case occupancyFrame:
+		occ := s.occ
+		emit = func(slot int) {
+			if slot < limit {
+				occ[slot] = occ[slot].plus(1)
+				tx++
+			}
+		}
+	case firstFrame:
+		emit = func(slot int) {
+			switch {
+			case slot >= limit:
+			case first == -1 || slot < first:
+				first = slot
+				tx = 1
+			case slot == first:
+				tx++
+			}
+		}
+	}
+	switch mode := j.e.Mode; mode {
+	case PaperXOR:
+		paperResponses(ts, j.req, emit)
+	case IdealID, IdealRN:
+		idealResponses(ts, mode == IdealID, j.req, emit)
+	default:
+		panic("channel: unknown hash mode")
+	}
+	s.min, s.tx = first, tx
 }
 
 // SlotFor returns the slot that a tag selects for hash j of a frame, under
@@ -144,7 +364,7 @@ func SlotFor(tag tags.Tag, mode HashMode, dist SlotDist, seed uint64, j, w int) 
 }
 
 // maxStackK is the largest hash count whose per-frame constants live on
-// the stack (BFCE uses k = 3); larger k allocates them once per frame.
+// the stack (BFCE uses k = 3); larger k allocates them once per chunk.
 const maxStackK = 8
 
 // hashConsts are the constants of hash j that every tag shares within a
@@ -153,30 +373,14 @@ const maxStackK = 8
 // slot = RS_j and coin is the rotation selecting the 10 persistence bits.
 type hashConsts struct{ slot, coin uint64 }
 
-// eachResponse runs the tag-side algorithm of one frame and calls emit with
-// the selected slot of every (tag, hash) pair that transmits. The
-// persistence coin runs first, so only responders pay for a slot hash. That
-// is the same outcome as hashing the slot first: in PaperXOR the coin and
-// slot read disjoint RN bits, and in the ideal modes they are independent
-// hash streams. Callers fold the slots order-free (OR, sum, min).
-func (e *TagEngine) eachResponse(req FrameRequest, emit func(slot int)) {
-	if len(e.Pop.Tags) == 0 {
-		return
-	}
-	switch e.Mode {
-	case PaperXOR:
-		e.paperResponses(req, emit)
-	case IdealID, IdealRN:
-		e.idealResponses(req, emit)
-	default:
-		panic("channel: unknown hash mode")
-	}
-}
-
-// idealResponses is eachResponse for IdealRN and IdealID. Uniform64(key, s)
-// is Reseed(Premix(key), s), so each tag mixes its key once and shares it
-// across its k coins and slot hashes.
-func (e *TagEngine) idealResponses(req FrameRequest, emit func(slot int)) {
+// idealResponses runs the tag-side algorithm of frame req for the tags ts
+// under IdealRN (or IdealID when useID) and calls emit with the selected
+// slot of every (tag, hash) pair that transmits. The persistence coin runs
+// first, so only responders pay for a slot hash. That is the same outcome
+// as hashing the slot first: the coin and the slot are independent hash
+// streams. Uniform64(key, s) is Reseed(Premix(key), s), so each tag mixes
+// its key once and shares it across its k coins and slot hashes.
+func idealResponses(ts []tags.Tag, useID bool, req FrameRequest, emit func(slot int)) {
 	if req.P <= 0 {
 		return
 	}
@@ -190,10 +394,9 @@ func (e *TagEngine) idealResponses(req FrameRequest, emit func(slot int)) {
 	}
 	thr := coinThreshold(req.P)
 	always := thr == 1<<53
-	useID := e.Mode == IdealID
 	geometric := req.Dist == Geometric
-	for ti := range e.Pop.Tags {
-		tag := &e.Pop.Tags[ti]
+	for ti := range ts {
+		tag := &ts[ti]
 		key := uint64(tag.RN)
 		if useID {
 			key = tag.ID
@@ -220,10 +423,11 @@ func coinThreshold(p float64) uint64 {
 	return uint64(math.Ceil(p * (1 << 53)))
 }
 
-// paperResponses is eachResponse for PaperXOR: persistence compares 10 RN
-// bits against p_n (hash.PaperPersistence) and the slot is
-// bitget(RN ⊕ RS_j, log2(w):1) (hash.PaperTagHashW).
-func (e *TagEngine) paperResponses(req FrameRequest, emit func(slot int)) {
+// paperResponses is idealResponses for PaperXOR: persistence compares 10
+// RN bits against p_n (hash.PaperPersistence) and the slot is
+// bitget(RN ⊕ RS_j, log2(w):1) (hash.PaperTagHashW). The coin and the
+// slot read disjoint RN bits, so running the coin first changes nothing.
+func paperResponses(ts []tags.Tag, req FrameRequest, emit func(slot int)) {
 	geometric := req.Dist == Geometric
 	var mask uint32
 	if !geometric {
@@ -251,8 +455,8 @@ func (e *TagEngine) paperResponses(req FrameRequest, emit func(slot int)) {
 		rot := (base + (uint(rs>>27)+uint(j))%span) % 23
 		hc = append(hc, hashConsts{slot: uint64(rs), coin: uint64(rot)})
 	}
-	for ti := range e.Pop.Tags {
-		rn := e.Pop.Tags[ti].RN
+	for ti := range ts {
+		rn := ts[ti].RN
 		for _, c := range hc {
 			if int((rn>>c.coin)&0x3ff) >= pn {
 				continue
